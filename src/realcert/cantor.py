@@ -23,7 +23,6 @@ from functools import cached_property
 from typing import Iterator
 
 from .enclosure import Enclosure
-from .intervalset import IntervalSet
 from .rational import ONE, ZERO, RationalLike, as_fraction, format_fraction, pow2
 
 __all__ = [
@@ -42,6 +41,9 @@ __all__ = [
     "find_component",
     "tower_generation",
 ]
+
+# sorted, interior-disjoint closed intervals as (lo, hi) pairs
+Intervals = tuple[tuple[Fraction, Fraction], ...]
 
 
 class InfeasibleMass(ValueError):
@@ -149,19 +151,21 @@ class CantorApprox:
         return pts
 
     @cached_property
-    def kept(self) -> IntervalSet:
+    def kept(self) -> Intervals:
+        """The 2^depth kept intervals."""
         length = self.spec.kept_len(self.depth)
-        return IntervalSet._from_sorted([(p, p + length) for p in self._lefts(self.depth)])
+        return tuple((p, p + length) for p in self._lefts(self.depth))
 
-    def holes_at(self, n: int) -> IntervalSet:
+    def holes_at(self, n: int) -> Intervals:
+        """The 2^(n-1) open holes cut at level n."""
         if not 1 <= n <= self.depth:
             raise ValueError(f"level {n} outside 1..{self.depth}")
         off = self.spec.kept_len(n)
         h = self.spec.hole_len(n)
-        return IntervalSet._from_sorted([(p + off, p + off + h) for p in self._lefts(n - 1)])
+        return tuple((p + off, p + off + h) for p in self._lefts(n - 1))
 
     @cached_property
-    def holes(self) -> tuple[tuple[int, IntervalSet], ...]:
+    def holes(self) -> tuple[tuple[int, Intervals], ...]:
         return tuple((n, self.holes_at(n)) for n in range(1, self.depth + 1))
 
     def walk_point(self, x: RationalLike, max_level: int | None = None) -> PointWalk:

@@ -5,18 +5,23 @@ endpoints, guaranteed to contain the real number it stands for.  All
 operations are outward-safe: the result encloses every value the operation
 can take over the inputs.  Nothing here ever rounds toward the true value.
 
-Transcendental evaluation (sin, cos, exp, sqrt and the constant pi) uses
-Taylor expansions with explicit Lagrange remainder bounds.  Arguments of
-sin/cos are reduced with a certified pi enclosure (Machin-type series with
-an alternating-tail bracket).  Two contracts hold for point inputs:
+The kernels are ``sin_pi`` and ``cos_pi`` (sin and cos of ``pi * c``),
+``exp_enc``, ``sqrt_enc`` and the constant ``pi_const``.  exp and sin use
+Taylor expansions with explicit Lagrange remainder bounds; pi comes from a
+Machin-type series with an alternating-tail bracket, and ``sin_pi`` /
+``cos_pi`` reduce their argument modulo 2 exactly in the rationals before
+pi enters.  For point inputs the width of the result is at most
+``2**-precision``.
 
-* width of the result is at most ``2**-precision``;
-* refinement is monotone: the enclosure computed at precision ``p + 8`` is
-  a sub-interval of the one computed at precision ``p``.
-
-Monotonicity is structural, not accidental: a request at precision ``p``
-returns the intersection of independent evaluations at every effort rung
-``8, 16, ..., 8*ceil(p/8)``, and a higher request only ever appends rungs.
+``exp_enc``, ``sqrt_enc`` and ``pi_const`` also refine monotonically: the
+enclosure computed at precision ``p + 8`` is a sub-interval of the one
+computed at precision ``p``.  For ``exp_enc`` this is structural: a request
+at precision ``p`` returns the intersection of independent evaluations at
+every effort rung ``8, 16, ..., 8*ceil(p/8)``, and a higher request only
+ever appends rungs.  ``sqrt_enc`` rounds onto nested dyadic grids and
+``pi_const`` onto nested partial-sum brackets.  ``sin_pi`` and ``cos_pi``
+skip the rung ladder and do not keep this contract: a higher precision can
+return an enclosure that is tighter but not nested.
 """
 
 from __future__ import annotations
@@ -108,12 +113,6 @@ class Enclosure:
     def contains_zero(self) -> bool:
         return self.lo <= 0 <= self.hi
 
-    def strictly_positive(self) -> bool:
-        return self.lo > 0
-
-    def strictly_negative(self) -> bool:
-        return self.hi < 0
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Enclosure | RationalLike") -> "Enclosure":
@@ -196,21 +195,6 @@ def _coerce(value: "Enclosure | RationalLike") -> Enclosure:
     if isinstance(value, Enclosure):
         return value
     return Enclosure.point(value)
-
-
-def enc_arith(kind: str, a: Enclosure, b: Enclosure) -> Enclosure:
-    """Named arithmetic entry point: kind in {add, sub, mul, div}."""
-    ops = {
-        "add": Enclosure.__add__,
-        "sub": Enclosure.__sub__,
-        "mul": Enclosure.__mul__,
-        "div": Enclosure.__truediv__,
-    }
-    try:
-        op = ops[kind]
-    except KeyError:
-        raise ValueError(f"unknown arithmetic kind {kind!r}") from None
-    return op(_coerce(a), _coerce(b))
 
 
 # ---------------------------------------------------------------------------
@@ -358,146 +342,10 @@ def _taylor_sin_fx(rlo: int, rhi: int, w: int, bits: int) -> tuple[int, int]:
     return (max(s_lo - bound, -one_fx), min(s_hi + bound, one_fx))
 
 
-def _taylor_cos_fx(rlo: int, rhi: int, w: int, bits: int) -> tuple[int, int]:
-    b_abs = max(-rlo, rhi, 0)
-    cutoff = 1 << (w - bits - 4) if w > bits + 4 else 1
-    sq = _fxi_sq(rlo, rhi, w)
-    one_fx = 1 << w
-    s_lo, s_hi = one_fx, one_fx
-    p_lo, p_hi = one_fx, one_fx
-    bound = one_fx
-    n = 0
-    sign = 1
-    while True:
-        bound = -((-bound * b_abs) >> w)
-        bound = -((-bound * b_abs) >> w)
-        bound = -((-bound) // ((n + 1) * (n + 2)))
-        n += 2
-        if bound <= cutoff:
-            break
-        sign = -sign
-        p_lo, p_hi = _fxi_mul(p_lo, p_hi, sq[0], sq[1], w)
-        p_lo, p_hi = _fxi_divint(p_lo, p_hi, (n - 1) * n)
-        if sign < 0:
-            s_lo -= p_hi
-            s_hi -= p_lo
-        else:
-            s_lo += p_lo
-            s_hi += p_hi
-    return (max(s_lo - bound, -one_fx), min(s_hi + bound, one_fx))
-
-
 def _taylor_sin(rlo: Fraction, rhi: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     w = bits + 32
     lo, hi = _taylor_sin_fx(_fx_floor(rlo, w), _fx_ceil(rhi, w), w, bits)
     return (Fraction(lo, 1 << w), Fraction(hi, 1 << w))
-
-
-# ---------------------------------------------------------------------------
-# sin / cos with argument reduction
-# ---------------------------------------------------------------------------
-
-
-def _approx_ratio_round(x: Fraction, denom_lo: Fraction) -> int:
-    """round(x / d) where d ~ denom_lo; only needs to land near the truth."""
-    q = x / denom_lo
-    return (2 * q.numerator + q.denominator) // (2 * q.denominator)
-
-
-@lru_cache(maxsize=1 << 10)
-def _pi_fx(w: int, pb: int) -> tuple[int, int]:
-    plo, phi = _pi_bracket(pb)
-    return (_fx_floor(plo, w), _fx_ceil(phi, w))
-
-
-@lru_cache(maxsize=1 << 14)
-def _naive_circular(which: str, xlo: Fraction, xhi: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """One effort rung of sin/cos on a narrow interval (width <= ~1)."""
-    w = bits + 32
-    a_lo = _fx_floor(xlo, w)
-    a_hi = _fx_ceil(xhi, w)
-    mid = Fraction((a_lo + a_hi) // 2, 1 << w)
-    m = _approx_ratio_round(2 * mid, _pi_bracket(64)[0])
-    if m != 0:
-        w = bits + 32 + m.bit_length()
-        a_lo = _fx_floor(xlo, w)
-        a_hi = _fx_ceil(xhi, w)
-        p_lo, p_hi = _pi_fx(w, bits + 24 + m.bit_length())
-        u, v = m * p_lo, m * p_hi
-        if u > v:
-            u, v = v, u
-        r_lo = a_lo - (-((-v) // 2))
-        r_hi = a_hi - (u // 2)
-    else:
-        r_lo, r_hi = a_lo, a_hi
-    if 10 * max(-r_lo, r_hi) > 17 << w:
-        # wide or badly reduced: give the trivial bound
-        return (-ONE, ONE)
-    quadrant = m % 4
-    if which == "cos":
-        quadrant = (quadrant + 1) % 4
-    # sin(x) = [sin r, cos r, -sin r, -cos r][quadrant]
-    if quadrant == 0:
-        lo, hi = _taylor_sin_fx(r_lo, r_hi, w, bits)
-    elif quadrant == 1:
-        lo, hi = _taylor_cos_fx(r_lo, r_hi, w, bits)
-    elif quadrant == 2:
-        t_lo, t_hi = _taylor_sin_fx(r_lo, r_hi, w, bits)
-        lo, hi = -t_hi, -t_lo
-    else:
-        t_lo, t_hi = _taylor_cos_fx(r_lo, r_hi, w, bits)
-        lo, hi = -t_hi, -t_lo
-    return (Fraction(lo, 1 << w), Fraction(hi, 1 << w))
-
-
-def _circular_range(which: str, xlo: Fraction, xhi: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Range of sin/cos over a wide interval via critical-point analysis."""
-    if xhi - xlo >= 7:
-        return (-ONE, ONE)
-    plo, phi = _pi_bracket(max(bits, 64) + 8 + int(max(abs(xlo), abs(xhi))).bit_length())
-    # extrema of sin at pi*(4k+1)/2 (max) and pi*(4k+3)/2 (min); shift for cos
-    mid = (xlo + xhi) / 2
-    kmid = _approx_ratio_round(mid, 2 * plo)
-    has_max = False
-    has_min = False
-    for k in range(kmid - 3, kmid + 4):
-        for num, is_max in (((4 * k + 1), True), ((4 * k + 3), False)):
-            if which == "cos":
-                num -= 1  # cos extrema at pi*2k (max) and pi*(2k+1) (min)
-            c = Fraction(num, 2)
-            c_lo = c * (plo if num >= 0 else phi)
-            c_hi = c * (phi if num >= 0 else plo)
-            if c_hi >= xlo and c_lo <= xhi:
-                if is_max:
-                    has_max = True
-                else:
-                    has_min = True
-    a = _naive_circular(which, xlo, xlo, bits)
-    b = _naive_circular(which, xhi, xhi, bits)
-    lo = -ONE if has_min else min(a[0], b[0])
-    hi = ONE if has_max else max(a[1], b[1])
-    return (max(lo, -ONE), min(hi, ONE))
-
-
-def _circular(which: str, x: Enclosure, precision: int) -> Enclosure:
-    wide = x.width > HALF
-    acc_lo, acc_hi = -ONE, ONE
-    for b in _ladder(precision):
-        if wide:
-            lo, hi = _circular_range(which, x.lo, x.hi, b)
-        else:
-            lo, hi = _naive_circular(which, x.lo, x.hi, b)
-        acc_lo = max(acc_lo, lo)
-        acc_hi = min(acc_hi, hi)
-    return Enclosure(acc_lo, acc_hi)
-
-
-def sin_enc(x: "Enclosure | RationalLike", precision: int = 64) -> Enclosure:
-    return _circular("sin", _coerce(x), precision)
-
-
-def cos_enc(x: "Enclosure | RationalLike", precision: int = 64) -> Enclosure:
-    return _circular("cos", _coerce(x), precision)
 
 
 # ---------------------------------------------------------------------------
@@ -678,34 +526,3 @@ def cos_pi(c: "Enclosure | RationalLike", precision: int = 64) -> Enclosure:
     else:
         shifted = as_fraction(c) + HALF
     return sin_pi(shifted, precision)
-
-
-# ---------------------------------------------------------------------------
-# public dispatcher
-# ---------------------------------------------------------------------------
-
-_FN_KINDS = ("sin", "cos", "exp", "sqrt", "pi-const")
-
-
-def enc_transcendental(
-    fn_kind: str,
-    x: "Enclosure | RationalLike | None" = None,
-    precision: int = 64,
-) -> Enclosure:
-    """Evaluate one of the supported transcendentals as an enclosure.
-
-    fn_kind is one of sin, cos, exp, sqrt, pi-const; pi-const ignores x.
-    """
-    if fn_kind == "pi-const":
-        return pi_const(precision)
-    if x is None:
-        raise ValueError(f"{fn_kind} needs an argument")
-    if fn_kind == "sin":
-        return sin_enc(x, precision)
-    if fn_kind == "cos":
-        return cos_enc(x, precision)
-    if fn_kind == "exp":
-        return exp_enc(x, precision)
-    if fn_kind == "sqrt":
-        return sqrt_enc(x, precision)
-    raise ValueError(f"unknown transcendental kind {fn_kind!r}; expected one of {_FN_KINDS}")

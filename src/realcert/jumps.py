@@ -193,10 +193,6 @@ class JumpSeries:
 
     shift: SqrtShift | None = None
 
-    @property
-    def enum(self) -> RationalEnumeration:
-        return CALKIN_WILF
-
     def value_at(self, x: "Enclosure | RationalLike", terms: int = 64,
                  precision: int = 96) -> Enclosure:
         return eval_jump_series(self, x, terms, precision)
@@ -504,15 +500,6 @@ class JumpPolynomial:
     @property
     def basis(self) -> tuple[int, ...]:
         return self.coeffs[0].basis
-
-    def coefficient_bound(self, precision: int = 96) -> Enclosure:
-        """Encloses the least M with sup |G_j| <= M for every j."""
-        hi = max(g.sup_bound(precision) for g in self.coeffs)
-        half = Fraction(1, 2)
-        lo = ZERO
-        for g in self.coeffs:
-            lo = max(lo, g.evaluate(half, precision).mignitude())
-        return Enclosure(min(lo, hi), hi)
 
     def p_form_bound(self, precision: int = 96) -> Enclosure:
         """Encloses the least uniform bound on the binomial partial sums.

@@ -1,8 +1,9 @@
 """Acceptance battery: fourteen numbered checks, one test per check.
 
-Each test mirrors one entry of the bundled report (`realcert report
---bundled`) at full scale and ends with a wall-clock guard.  Randomized
-selections use fixed seeds so a failure is reproducible as-is.
+Each test runs the same check function as the bundled report (`realcert
+report --bundled`), on larger samples drawn from its own fixed seed, and
+ends with a wall-clock guard.  The pass predicates live in
+`realcert.checklist` only; a failing test prints the check's payload.
 """
 
 from __future__ import annotations
@@ -11,281 +12,115 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
-from realcert.cantor import TowerSpec, tower_generation
-from realcert.certificates import InconclusiveAtBudget
-from realcert.jumps import (ExpPoly, JumpPolynomial, ShiftCombination,
-                            SqrtShift, ZeroPolynomial, enum_rational,
-                            expand_generator_polynomial,
-                            jump_contribution_table, jump_enclosure,
-                            jump_search, staircase_polynomial,
-                            variation_bounds)
-from realcert.oscillator import (OscCombination, Oscillator, alexiewicz_norm,
-                                 hake_table, kurzweil_integral,
-                                 nonlebesgue_witness, osc_eval, slope_bound)
-from realcert.rational import ONE, ZERO, pow2
-from realcert.stepseries import (PowerAlongSubsequence, StepFunction,
-                                 StepSeries, basis_inequality_check,
-                                 comeager_perturbation, disjoint_power_family,
-                                 dominance_index, l1_norm, unbounded_witness)
-
-# theta 3/2 along even generations; L1 norm has closed form 9/7
-SERIES = StepSeries(TowerSpec("dyadic"),
-                    PowerAlongSubsequence(Fraction(3, 2), "arith:2:2"))
-
-# the first 10^5 enumerated rationals cover [1/18, 16/17] with no gap
-# of length 1/50, so density searches in this band cannot run dry
-COVERED_LO = Fraction(1, 18)
-COVERED_HI = Fraction(16, 17)
+from realcert.checklist import (
+    EXIT_OK, _check_alexiewicz, _check_basis_inequality, _check_density,
+    _check_dominance, _check_faithfulness, _check_finite_difference,
+    _check_gauge_integral, _check_jump_exactness, _check_l1, _check_measure,
+    _check_nonlebesgue, _check_perturbation, _check_unbounded,
+    _check_variation, _draw_combinations, _draw_density_windows,
+    _draw_monomial_vectors, _draw_points, _draw_windows)
 
 
 def test_criterion_01_tower_measure_recursion():
     start = time.monotonic()
-    tower = TowerSpec("dyadic")
-    depth = 12
-    for j in range(1, 7):
-        enc = tower_generation(tower, j, depth).measure_enclosure
-        assert enc.lo <= pow2(-j) <= enc.hi
-        # exact rational bound: width <= residual(j) * 2^-depth
-        assert enc.hi - enc.lo <= tower.residual(j) * pow2(-depth)
+    code, payload = _check_measure()
+    assert code == EXIT_OK, payload
     assert time.monotonic() - start < 5.0
 
 
 def test_criterion_02_l1_closed_form():
     start = time.monotonic()
-    enc = l1_norm(SERIES, terms=40, depth=20)
-    assert enc.lo <= Fraction(9, 7) <= enc.hi
-    assert enc.hi - enc.lo <= Fraction(1, 1000)
+    code, payload = _check_l1()
+    assert code == EXIT_OK, payload
     assert time.monotonic() - start < 10.0
 
 
 def test_criterion_03_unbounded_on_random_windows():
     start = time.monotonic()
-    window = Fraction(1, 50)
-    assert window >= Fraction(1, 100)
-    bar = Fraction(10**6)
-    rng = random.Random(20)
-    for _ in range(20):
-        lo = Fraction(rng.randint(0, 980), 1000)
-        got = unbounded_witness(SERIES, lo, lo + window, bar,
-                                maxgen=40, depth=24)
-        assert not isinstance(got, InconclusiveAtBudget)
-        assert abs(got.value) > bar
-        assert got.generation <= 40
+    code, payload = _check_unbounded(_draw_windows(random.Random(20), 20, Fraction(1, 50)))
+    assert code == EXIT_OK, payload
     assert time.monotonic() - start < 30.0
 
 
 def test_criterion_04_dominance_index_minimality():
     start = time.monotonic()
-    first = dominance_index((1, -1), (3, 2))
-    assert first.j0 == 2
-    assert first.tail_at_j0 == 4 < Fraction(9, 2) == first.half_lead_at_j0
-    # minimality: the comparison one index earlier fails, exactly
-    assert first.fails_before == (Fraction(2), Fraction(3, 2))
-
-    second = dominance_index((2, 1, 1), (5, 3, 2))
-    assert second.j0 == 2
-    assert second.tail_at_j0 < second.half_lead_at_j0
-    assert second.fails_before == (Fraction(5), Fraction(5))
-    for case in (first, second):
-        failed_tail, failed_half = case.fails_before
-        assert failed_tail >= failed_half
+    code, payload = _check_dominance()
+    assert code == EXIT_OK, payload
     assert time.monotonic() - start < 1.0
 
 
 def test_criterion_05_perturbation_inequalities():
     start = time.monotonic()
-    radius = Fraction(3, 5)
-    result = comeager_perturbation(StepFunction(), 1, (ZERO, ONE), radius)
-    payload = result.certificate.payload
-    assert payload["perturbation_l1_distance"] == Fraction(1, 5)
-    assert payload["perturbation_l1_distance"] <= radius / 2
-    assert payload["violation_threshold"] == radius / 6
-    assert payload["radius_seventh"] == radius / 7
-    assert payload["violation_threshold"] > payload["radius_seventh"]
+    code, payload = _check_perturbation()
+    assert code == EXIT_OK, payload
     assert time.monotonic() - start < 1.0
 
 
 def test_criterion_06_staircase_jump_exactness():
     start = time.monotonic()
-    stair = staircase_polynomial()
-    for i in range(1, 1001):
-        got = jump_enclosure(stair, enum_rational(i))
-        assert got.certified_nonzero
-        # degree-1 unit staircase: the jump enclosure is a point, exactly 2^-i
-        assert got.value.lo == pow2(-i) == got.value.hi
+    code, payload = _check_jump_exactness(range(1, 1001))
+    assert code == EXIT_OK, payload
     assert time.monotonic() - start < 10.0
 
 
 def test_criterion_07_shift_combination_variation():
     start = time.monotonic()
-    combo = ShiftCombination(((Fraction(2), SqrtShift(1)),
-                              (Fraction(3), SqrtShift(2))))
-    vb = variation_bounds(combo)
-    assert vb.lower >= 5
-    assert vb.upper is not None and vb.upper <= 15
+    code, payload = _check_variation()
+    assert code == EXIT_OK, payload
     assert time.monotonic() - start < 10.0
 
 
 def test_criterion_08_dense_jumps_on_random_windows():
     start = time.monotonic()
-    one = (1,)
-    polys = [
-        expand_generator_polynomial({(1,): 1}, one),
-        JumpPolynomial((ExpPoly.zero(one), ExpPoly.constant(one, 1))),
-        expand_generator_polynomial({(1, 0): 1, (0, 2): 1}, (2, 3)),
-    ]
-    window = Fraction(1, 50)
-    assert window >= Fraction(1, 1000)
-    span = (COVERED_HI - window) - COVERED_LO
-    rng = random.Random(8)
-    for poly in polys:
-        for _ in range(50):
-            lo = COVERED_LO + Fraction(rng.randint(0, 10**6), 10**6) * span
-            got = jump_search(poly, lo, lo + window, Fraction(1, 1000),
-                              index_budget=10**5, terms=64, precision=128)
-            assert not isinstance(got, InconclusiveAtBudget)
-            assert lo <= got.point <= lo + window
-            assert got.index <= 10**5
-            assert not got.jump.contains_zero()
+    code, payload = _check_density(_draw_density_windows(random.Random(8), 50))
+    assert code == EXIT_OK, payload
     assert time.monotonic() - start < 60.0
 
 
 def test_criterion_09_generator_polynomial_faithfulness():
     start = time.monotonic()
-    basis = (2, 3)
-    monomials = [(i, j) for i in range(4) for j in range(4) if 1 <= i + j <= 3]
-    assert len(monomials) == 9
-    table = jump_contribution_table(Fraction(1, 2), basis, 3)
-    cells = [table.scaled(192)[m] for m in monomials]
-    counts = {"nonzero": 0, "certified": 0, "ambiguous": 0}
-
-    # interval partial sums over every coefficient vector in {-2..2}^9;
-    # a leaf is certified when the summed jump enclosure excludes zero
-    def sweep(pos: int, lo: int, hi: int, any_nonzero: bool) -> None:
-        if pos == len(cells):
-            if not any_nonzero:
-                return
-            counts["nonzero"] += 1
-            if hi < 0 or lo > 0:
-                counts["certified"] += 1
-            else:
-                counts["ambiguous"] += 1
-            return
-        c_lo, c_hi = cells[pos]
-        for coeff in (-2, -1, 0, 1, 2):
-            if coeff >= 0:
-                sweep(pos + 1, lo + coeff * c_lo, hi + coeff * c_hi,
-                      any_nonzero or coeff != 0)
-            else:
-                sweep(pos + 1, lo + coeff * c_hi, hi + coeff * c_lo, True)
-
-    sweep(0, 0, 0, False)
-    assert counts["nonzero"] == 5**9 - 1
-    assert counts["ambiguous"] == 0
-    assert counts["certified"] == counts["nonzero"]
-
-    # the zero polynomial is rejected exactly, not approximately
-    with pytest.raises(ZeroPolynomial):
-        expand_generator_polynomial({m: 0 for m in monomials}, basis)
-
-    # table rows agree with the expanded polynomial's own jump enclosure
-    rng = random.Random(9)
-    for _ in range(20):
-        coeffs = {m: rng.randint(-2, 2) for m in monomials}
-        if all(v == 0 for v in coeffs.values()):
-            coeffs[monomials[0]] = 1
-        via_table = table.jump_of(coeffs)
-        direct = jump_enclosure(expand_generator_polynomial(coeffs, basis),
-                                Fraction(1, 2), terms=96, precision=160)
-        assert max(via_table.lo, direct.value.lo) <= min(via_table.hi,
-                                                         direct.value.hi)
-        assert not via_table.contains_zero()
-        assert direct.certified_nonzero
+    code, payload = _check_faithfulness(_draw_monomial_vectors(random.Random(9), 20))
+    assert code == EXIT_OK, payload
     assert time.monotonic() - start < 300.0
 
 
 def test_criterion_10_gauge_integral_and_hake_cutoffs():
     start = time.monotonic()
-    deriv = Oscillator(kind="derivative")
-    total = kurzweil_integral(deriv, 0, 1)
-    assert total.contains_zero()
-    assert total.hi - total.lo <= Fraction(1, 10**9)
-    rows = hake_table(deriv, [pow2(-n) for n in range(1, 21)])
-    for n, row in zip(range(1, 21), rows):
-        assert abs(row.integral).hi <= 4 * pow2(-2 * n)
+    code, payload = _check_gauge_integral()
+    assert code == EXIT_OK, payload
     assert time.monotonic() - start < 5.0
 
 
 def test_criterion_11_nonlebesgue_minimal_witness():
     start = time.monotonic()
-    deriv = Oscillator(kind="derivative")
-    small = nonlebesgue_witness(deriv, 1)
-    assert small.K == 1
-    assert small.partial_sum == Fraction(16, 15)
-    assert small.sum_before == 0
-    large = nonlebesgue_witness(deriv, 4)
-    assert large.K == 10
-    # minimality as exact rationals: one peak short stays under the bar
-    assert large.sum_before < 4 <= large.partial_sum
+    code, payload = _check_nonlebesgue()
+    assert code == EXIT_OK, payload
     assert time.monotonic() - start < 1.0
 
 
 def test_criterion_12_alexiewicz_norm_scaling():
     start = time.monotonic()
-    tol = Fraction(1, 1000)
-    base = alexiewicz_norm(OscCombination.of({1: 1}), tol)
-    assert Fraction(68, 100) <= base.lo
-    assert base.hi <= Fraction(69, 100)
-
-    # depth independence: each single-term norm matches the base within 2 tol
-    for k in range(2, 6):
-        other = alexiewicz_norm(OscCombination.of({k: 1}), tol)
-        assert other.lo <= base.hi + 2 * tol
-        assert base.lo <= other.hi + 2 * tol
-
-    # scaling: norm of a combination equals max |alpha_k| times the base norm
-    rng = random.Random(12)
-    for _ in range(10):
-        coeffs = {k: Fraction(rng.randint(-3, 3)) for k in (1, 2, 4)}
-        if all(v == 0 for v in coeffs.values()):
-            coeffs[1] = Fraction(1)
-        peak = max(abs(v) for v in coeffs.values())
-        got = alexiewicz_norm(OscCombination.of(coeffs), tol)
-        assert got.lo <= peak * base.hi + 2 * tol
-        assert peak * base.lo <= got.hi + 2 * tol
+    code, payload = _check_alexiewicz(range(2, 6), _draw_combinations(random.Random(12), 10))
+    assert code == EXIT_OK, payload
     assert time.monotonic() - start < 60.0
 
 
 def test_criterion_13_basis_inequality_random_vectors():
     start = time.monotonic()
-    family = disjoint_power_family(Fraction(3, 2), 6)
     rng = random.Random(13)
+    trials = []
     for _ in range(100):
         m2 = rng.randint(2, 6)
         m1 = rng.randint(1, m2)
-        coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 3))
-                  for _ in range(m2)]
-        result = basis_inequality_check(coeffs, m1, m2, family)
-        assert result.holds
-        assert result.margin_lower >= 0
+        coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(m2)]
+        trials.append((coeffs, m1, m2))
+    code, payload = _check_basis_inequality(trials)
+    assert code == EXIT_OK, payload
     assert time.monotonic() - start < 60.0
 
 
 def test_criterion_14_finite_difference_consistency():
     start = time.monotonic()
-    prim = Oscillator(kind="primitive")
-    deriv = Oscillator(kind="derivative")
-    h = pow2(-30)
-    rng = random.Random(14)
-    for _ in range(1000):
-        x = Fraction(rng.randint(100, 1899), 2000)
-        quotient = (osc_eval(prim, x + h, 128)
-                    - osc_eval(prim, x, 128)) * (1 / h)
-        at_x = osc_eval(deriv, x, 128)
-        # mean value bound: the quotient sits within slope_bound * h of phi(x)
-        slack = slope_bound(deriv, x, x + h) * h
-        assert at_x.lo - slack <= quotient.lo
-        assert quotient.hi <= at_x.hi + slack
+    code, payload = _check_finite_difference(_draw_points(random.Random(14), 1000))
+    assert code == EXIT_OK, payload
     assert time.monotonic() - start < 30.0

@@ -6,6 +6,7 @@ The enumeration-based checks cross the lazy aggregated quantities
 interval arithmetic at small depths where materializing is cheap.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -23,12 +24,23 @@ from realcert.cantor import (
     find_component,
     tower_generation,
 )
-from realcert.intervalset import IntervalSet
 from realcert.rational import pow2
 
 
 def unit_spec(mass=Fraction(1, 2)) -> CantorSpec:
     return CantorSpec(Fraction(0), Fraction(1), mass)
+
+
+def measure(pairs) -> Fraction:
+    return sum((hi - lo for lo, hi in pairs), Fraction(0))
+
+
+def locate(pairs, x):
+    """(inside, on_edge) for x against sorted, disjoint closed (lo, hi) pairs."""
+    i = bisect_right(pairs, x, key=lambda iv: iv[0]) - 1
+    if i < 0 or x > pairs[i][1]:
+        return False, False
+    return True, x in pairs[i]
 
 
 def test_spec_validation():
@@ -60,20 +72,24 @@ def test_kept_measure_closed_form():
 @settings(max_examples=60, deadline=None)
 def test_enumerated_kept_matches_closed_form(mass, depth):
     approx = CantorApprox(unit_spec(mass), depth)
-    assert approx.kept.measure == approx.measure
+    assert measure(approx.kept) == approx.measure
     assert len(approx.kept) == 2**depth
     assert approx.measure_enclosure.contains(mass)
 
 
 def test_holes_partition_the_removed_length():
     approx = CantorApprox(unit_spec(Fraction(2, 7)), 6)
-    total = IntervalSet()
+    holes = []
     for n, hs in approx.holes:
         assert len(hs) == 2 ** (n - 1)
-        assert hs.measure == 2 ** (n - 1) * approx.spec.hole_len(n)
-        total = total.union(hs)
-    assert total.measure + approx.kept.measure == 1
-    assert not total.intersect(approx.kept)
+        assert measure(hs) == 2 ** (n - 1) * approx.spec.hole_len(n)
+        holes.extend(hs)
+    assert measure(holes) + measure(approx.kept) == 1
+    # kept intervals and holes tile [0, 1]: no overlap, no gap
+    pieces = sorted(list(approx.kept) + holes)
+    assert pieces[0][0] == 0 and pieces[-1][1] == 1
+    assert all(lo < hi for lo, hi in pieces)
+    assert all(left[1] == right[0] for left, right in zip(pieces, pieces[1:]))
 
 
 def test_walk_point_agrees_with_enumeration():
@@ -81,14 +97,15 @@ def test_walk_point_agrees_with_enumeration():
     probes = [Fraction(i, 257) for i in range(258)]
     for x in probes:
         walk = approx.walk_point(x)
+        inside, on_edge = locate(approx.kept, x)
         if walk.kind == "kept":
-            assert approx.kept.contains_point(x)
+            assert inside
         elif walk.kind == "hole":
-            assert not approx.kept.contains_point(x)
+            assert not inside
             assert walk.lo < x < walk.hi
             assert walk.hi - walk.lo == approx.spec.hole_len(walk.level)
         elif walk.kind == "edge":
-            assert approx.kept.locate(x).on_edge or walk.level == 0
+            assert on_edge or walk.level == 0
         else:
             assert walk.kind == "outside" and not (0 <= x <= 1)
     assert approx.walk_point(Fraction(3, 2)).kind == "outside"
@@ -149,15 +166,11 @@ def test_generation_two_enumeration_matches_enclosure():
     assert tower.measure_enclosure.contains(total)
     # components live inside generation-1 holes, pairwise disjoint
     gen1 = CantorApprox(CantorSpec(Fraction(0), Fraction(1), spec.mass(1)), 3)
-    hole_set = IntervalSet()
-    for _, hs in gen1.holes:
-        hole_set = hole_set.union(hs)
-    acc = IntervalSet()
-    for c in comps:
-        lo, hi = c.span
-        assert hole_set.contains_interval(lo, hi)
-        assert not acc.intersect(IntervalSet.interval(lo, hi))
-        acc = acc.union(IntervalSet.interval(lo, hi))
+    holes = [h for _, hs in gen1.holes for h in hs]
+    spans = sorted(c.span for c in comps)
+    for lo, hi in spans:
+        assert any(a <= lo and hi <= b for a, b in holes)
+    assert all(left[1] <= right[0] for left, right in zip(spans, spans[1:]))
 
 
 def test_tower_generation_validation():
