@@ -35,9 +35,7 @@ __all__ = [
     "PointWalk",
     "TowerApprox",
     "TowerSpec",
-    "cantor_approx",
     "component_at_generation",
-    "component_in",
     "find_component",
     "tower_generation",
 ]
@@ -195,10 +193,6 @@ class CantorApprox:
         return out
 
 
-def cantor_approx(spec: CantorSpec, depth: int) -> CantorApprox:
-    return CantorApprox(spec, depth)
-
-
 # ---------------------------------------------------------------------------
 # Towers
 # ---------------------------------------------------------------------------
@@ -269,6 +263,16 @@ def _fill(spec: TowerSpec, generation: int, lo: Fraction, hi: Fraction, depth: i
     return CantorApprox(CantorSpec(lo, hi, spec.rho(generation) * (hi - lo)), depth)
 
 
+def fill_first_hole(spec: TowerSpec, comp: CantorApprox, generation: int) -> CantorApprox:
+    """The generation-g component in comp's level-1 hole, at comp's depth.
+
+    Each such descent raises the generation by one and stays inside comp,
+    so a drill can deepen one generation at a time within its target.
+    """
+    lo = comp.spec.a + comp.spec.kept_len(1)
+    return _fill(spec, generation, lo, lo + comp.spec.hole_len(1), comp.depth)
+
+
 @dataclass(frozen=True)
 class TowerApprox:
     """One generation of a tower at a fixed component depth.
@@ -306,9 +310,6 @@ class TowerApprox:
     @cached_property
     def components(self) -> tuple[CantorApprox, ...]:
         return tuple(self.iter_components())
-
-    def component_in(self, lo: RationalLike, hi: RationalLike):
-        return component_in(self, lo, hi)
 
     def as_json(self) -> dict:
         return {
@@ -443,13 +444,6 @@ def find_component(
     return NotFoundAtDepth(max_generation, depth, "search budget exhausted")
 
 
-def component_in(tower: TowerApprox, lo: RationalLike, hi: RationalLike) -> ComponentWitness | NotFoundAtDepth:
-    """Some component of generation <= tower.generation with span inside [lo, hi]."""
-    return find_component(
-        tower.spec, lo, hi, max_generation=tower.generation, depth=tower.depth
-    )
-
-
 def component_at_generation(
     spec: TowerSpec,
     lo: RationalLike,
@@ -472,8 +466,6 @@ def component_at_generation(
     if g > generation:
         return NotFoundAtDepth(generation, depth, f"first contained component has generation {g}")
     while g < generation:
-        g1 = comp.spec.a + comp.spec.kept_len(1)
-        g2 = g1 + comp.spec.hole_len(1)
         g += 1
-        comp = _fill(spec, g, g1, g2, depth)
+        comp = fill_first_hole(spec, comp, g)
     return comp

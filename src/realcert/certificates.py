@@ -8,7 +8,6 @@ round-trips) so identical runs produce byte-identical output.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -87,10 +86,3 @@ class Certificate:
             "payload": jsonable(self.payload),
             "budget": jsonable(self.budget),
         }
-
-    def dumps(self, indent: int | None = None) -> str:
-        return canonical_dumps(self.as_json(), indent)
-
-    @property
-    def digest(self) -> str:
-        return hashlib.sha256(self.dumps().encode()).hexdigest()

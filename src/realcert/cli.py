@@ -40,13 +40,23 @@ EXIT_INCONCLUSIVE = 2
 
 KINDS = ("tower-series", "jump-polynomial", "oscillator-combination")
 
-DEFAULT_BUDGET: dict[str, object] = {
-    "maxgen": 20,
-    "depth": 20,
-    "terms": 64,
-    "precision": 128,
-    "tolerance": Fraction(1, 10**6),
+# Every budget key: (default, least, most, ceilings).  A request outside
+# least..most exits 1.  ceilings maps a command, or a "report:" check, to
+# the most it runs that key at; a larger request runs at the ceiling.
+BUDGETS: dict[str, tuple] = {
+    "maxgen": (20, 1, 64, {"tower build": 24, "report: measure": 6}),
+    "depth": (20, 1, 64, {"tower build": 40, "tower show": 20, "certify basis": 20,
+                          "report: measure": 16, "report: l1": 20}),
+    "terms": (64, 1, 4096, {"norm l1": 200, "certify basis": 48, "report: l1": 48,
+                            "report: variation": 64}),
+    "precision": (128, 1, 1024, {"norm alexiewicz": 128, "report: alexiewicz": 128}),
+    "tolerance": (Fraction(1, 10**6), Fraction(1, 10**6), Fraction(1), {}),
 }
+DEFAULT_BUDGET: dict[str, object] = {key: row[0] for key, row in BUDGETS.items()}
+# a jump search scans min(2^maxgen, INDEX_CEILING) enumeration indices;
+# tower show lists at most LIST_CEILING components
+INDEX_CEILING = 10**5
+LIST_CEILING = 100_000
 
 
 class SpecError(ValueError):
@@ -85,27 +95,39 @@ class FunctionSpec:
 
 
 def _validate_budget_items(raw: dict, where: str) -> dict:
-    """Type-check the keys actually present, without filling defaults."""
+    """Type- and range-check the keys actually present, without filling defaults."""
     out: dict[str, object] = {}
     for key, value in raw.items():
-        if key not in DEFAULT_BUDGET:
+        if key not in BUDGETS:
             raise SpecError(f"{where}: unknown budget key {key!r}")
         if key == "tolerance":
             try:
                 value = Fraction(value) if not isinstance(value, Fraction) else value
             except (ValueError, ZeroDivisionError) as err:
                 raise SpecError(f"{where}: bad tolerance {value!r}") from err
-            if value <= 0:
-                raise SpecError(f"{where}: tolerance must be positive")
         else:
             try:
                 value = int(value) if isinstance(value, str) else value
             except ValueError as err:
                 raise SpecError(f"{where}: budget {key} must be an integer") from err
-            if not isinstance(value, int) or value < 1:
-                raise SpecError(f"{where}: budget {key} must be a positive integer")
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SpecError(f"{where}: budget {key} must be an integer")
+        _, least, most, _ = BUDGETS[key]
+        if not least <= value <= most:
+            raise SpecError(f"{where}: budget {key} must lie in {least}..{most}, "
+                            f"got {value}")
         out[key] = value
     return out
+
+
+def _at_ceilings(budget: dict, command: str) -> dict:
+    """The budget a command runs at: each key cut to its ceiling there."""
+    return {key: min(value, BUDGETS[key][3].get(command, value))
+            for key, value in budget.items()}
+
+
+def _index_budget(budget: dict) -> int:
+    return min(2 ** budget["maxgen"], INDEX_CEILING)
 
 
 def _parse_budget(raw: dict, where: str) -> dict:
@@ -165,17 +187,30 @@ def build_function(spec: FunctionSpec):
         raise SpecError(f"bad {spec.kind} body: {err}") from err
 
 
-def _single_spec(args) -> FunctionSpec:
+def _single_spec(args, *kinds: str) -> tuple[FunctionSpec, object]:
+    """The command's one --spec, checked to be of one of kinds, and its object."""
     paths = args.spec or []
     if len(paths) != 1:
         raise SpecError("exactly one --spec is required here")
-    return load_spec(paths[0], args.budget_overrides)
+    spec = load_spec(paths[0], args.budget_overrides)
+    _require_kind(spec, *kinds)
+    return spec, build_function(spec)
 
 
 def _require_kind(spec: FunctionSpec, *kinds: str) -> None:
     if spec.kind not in kinds:
         raise SpecError(f"this command needs kind {' or '.join(kinds)}, "
                         f"got {spec.kind}")
+
+
+def _with_provenance(cert: Certificate, spec: FunctionSpec,
+                     claim: str | None = None) -> dict:
+    """A library certificate's JSON, under the CLI's claim name if given."""
+    payload = cert.as_json()
+    if claim is not None:
+        payload["claim"] = claim
+    payload["provenance"] = jsonable(spec.provenance())
+    return payload
 
 
 def _csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -192,12 +227,10 @@ def _csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 
 def _cmd_tower_build(args):
-    spec = _single_spec(args)
-    _require_kind(spec, "tower-series")
-    series = build_function(spec)
+    spec, series = _single_spec(args, "tower-series")
     tower: TowerSpec = series.tower
-    depth = min(spec.budget["depth"], 40)
-    upto = min(spec.budget["maxgen"], 24)
+    budget = _at_ceilings(spec.budget, "tower build")
+    depth, upto = budget["depth"], budget["maxgen"]
     rows = []
     entries = []
     for j in range(1, upto + 1):
@@ -221,15 +254,13 @@ def _cmd_tower_build(args):
 
 
 def _cmd_tower_show(args):
-    spec = _single_spec(args)
-    _require_kind(spec, "tower-series")
-    series = build_function(spec)
+    spec, series = _single_spec(args, "tower-series")
     tower: TowerSpec = series.tower
     j = args.generation
-    depth = min(spec.budget["depth"], 20)
+    depth = _at_ceilings(spec.budget, "tower show")["depth"]
     approx = tower_generation(tower, j, depth)
     count = approx.component_count
-    if count > 100_000:
+    if count > LIST_CEILING:
         raise SpecError(f"generation {j} at depth {depth} has {count} "
                         "components; lower --budget depth to list them")
     rows = [(i, c.spec.a, c.spec.b) for i, c in enumerate(approx.iter_components())]
@@ -251,8 +282,7 @@ def _cmd_tower_show(args):
 
 
 def _cmd_fn_eval(args):
-    spec = _single_spec(args)
-    obj = build_function(spec)
+    spec, obj = _single_spec(args, *KINDS)
     budget = spec.budget
     at = args.at
     if spec.kind == "tower-series":
@@ -285,9 +315,7 @@ def _cmd_fn_eval(args):
 
 
 def _cmd_fn_integrate(args):
-    spec = _single_spec(args)
-    _require_kind(spec, "oscillator-combination")
-    obj = build_function(spec)
+    spec, obj = _single_spec(args, "oscillator-combination")
     enc = kurzweil_integral(obj, args.lo, args.hi, spec.budget["precision"])
     payload = {
         "from": format_fraction(args.lo),
@@ -304,10 +332,9 @@ def _cmd_fn_integrate(args):
 
 
 def _cmd_norm_l1(args):
-    spec = _single_spec(args)
-    _require_kind(spec, "tower-series")
-    series = build_function(spec)
-    enc = l1_norm(series, min(spec.budget["terms"], 200), spec.budget["depth"])
+    spec, series = _single_spec(args, "tower-series")
+    terms = _at_ceilings(spec.budget, "norm l1")["terms"]
+    enc = l1_norm(series, terms, spec.budget["depth"])
     # exact power sums carry huge denominators; display on a dyadic grid
     cert = Certificate("norm-enclosure", COMPUTED,
                        {"space": "L1", "norm": enc.outward(spec.budget["precision"]),
@@ -316,23 +343,18 @@ def _cmd_norm_l1(args):
 
 
 def _cmd_norm_bv(args):
-    spec = _single_spec(args)
-    _require_kind(spec, "jump-polynomial")
-    obj = build_function(spec)
+    spec, obj = _single_spec(args, "jump-polynomial")
     result = variation_bounds(obj, terms=spec.budget["terms"],
                               precision=spec.budget["precision"])
-    payload = result.certificate.as_json()
-    payload["provenance"] = jsonable(spec.provenance())
-    return EXIT_OK, payload, None
+    return EXIT_OK, _with_provenance(result.certificate, spec), None
 
 
 def _cmd_norm_alexiewicz(args):
-    spec = _single_spec(args)
-    _require_kind(spec, "oscillator-combination")
-    obj = build_function(spec)
+    spec, obj = _single_spec(args, "oscillator-combination")
     tol = spec.budget["tolerance"]
     try:
-        enc = alexiewicz_norm(obj, tol, min(spec.budget["precision"], 128))
+        enc = alexiewicz_norm(obj, tol,
+                              _at_ceilings(spec.budget, "norm alexiewicz")["precision"])
     except NonterminationBudget as err:
         verdict = InconclusiveAtBudget(str(err), {"tolerance": tol})
         return EXIT_INCONCLUSIVE, verdict.as_json(), None
@@ -349,9 +371,7 @@ def _cmd_norm_alexiewicz(args):
 
 
 def _cmd_certify_unbounded(args):
-    spec = _single_spec(args)
-    _require_kind(spec, "tower-series")
-    series = build_function(spec)
+    spec, series = _single_spec(args, "tower-series")
     lo, hi = args.interval
     got = unbounded_witness(series, lo, hi, args.bound,
                             spec.budget["maxgen"], spec.budget["depth"])
@@ -375,38 +395,30 @@ def _as_polynomial(obj) -> JumpPolynomial:
 
 
 def _cmd_certify_jump_dense(args):
-    spec = _single_spec(args)
-    _require_kind(spec, "jump-polynomial")
-    poly = _as_polynomial(build_function(spec))
+    spec, obj = _single_spec(args, "jump-polynomial")
+    poly = _as_polynomial(obj)
     lo, hi = args.interval
     budget = spec.budget
-    index_budget = min(10**5, 2 ** min(budget["maxgen"], 17))
-    got = jump_search(poly, lo, hi, args.eps, index_budget,
+    got = jump_search(poly, lo, hi, args.eps, _index_budget(budget),
                       budget["terms"], budget["precision"])
     if isinstance(got, InconclusiveAtBudget):
         return EXIT_INCONCLUSIVE, got.as_json(), None
-    cert = got.certificate()
-    payload = cert.as_json()
-    payload["claim"] = "jump-dense-sample"
-    payload["provenance"] = jsonable(spec.provenance())
-    return EXIT_OK, payload, None
+    return EXIT_OK, _with_provenance(got.certificate(), spec, "jump-dense-sample"), None
+
+
+def _nonlebesgue(obj, bar, precision: int, max_peaks: int):
+    """The non-Lebesgue witness of a combination or of a single oscillator."""
+    witness = restriction_witness if isinstance(obj, OscCombination) else nonlebesgue_witness
+    return witness(obj, bar, precision, max_peaks)
 
 
 def _cmd_certify_non_lebesgue(args):
-    spec = _single_spec(args)
-    _require_kind(spec, "oscillator-combination")
-    obj = build_function(spec)
-    max_peaks = 1000 * spec.budget["maxgen"]
-    if isinstance(obj, OscCombination):
-        got = restriction_witness(obj, args.bound, spec.budget["precision"], max_peaks)
-    else:
-        got = nonlebesgue_witness(obj, args.bound, spec.budget["precision"], max_peaks)
+    spec, obj = _single_spec(args, "oscillator-combination")
+    got = _nonlebesgue(obj, args.bound, spec.budget["precision"],
+                       1000 * spec.budget["maxgen"])
     if isinstance(got, InconclusiveAtBudget):
         return EXIT_INCONCLUSIVE, got.as_json(), None
-    cert = got.certificate()
-    payload = cert.as_json()
-    payload["claim"] = "non-lebesgue"
-    payload["provenance"] = jsonable(spec.provenance())
+    payload = _with_provenance(got.certificate(), spec, "non-lebesgue")
     base = got.base if hasattr(got, "base") else got
     rows = [(k, running, running) for k, _, running in base.rows()]
     return EXIT_OK, payload, _csv(("index", "lo", "hi"), rows)
@@ -432,10 +444,9 @@ def _cmd_certify_basis(args):
         family = disjoint_power_family(theta, m2, series.tower)
     else:
         family = tuple(build_function(s) for s in specs)
-    budget = specs[0].budget
+    budget = _at_ceilings(specs[0].budget, "certify basis")
     result = basis_inequality_check(coeffs, m1, m2, family,
-                                    min(budget["terms"], 48),
-                                    min(budget["depth"], 20))
+                                    budget["terms"], budget["depth"])
     # exact norms can run to thousands of digits; emit on a dyadic grid
     comparison = {
         "verdict": "holds" if result.holds else "inconclusive",
@@ -481,15 +492,16 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], tuple[int, dict
 
     if spec.kind == "tower-series":
         def measure() -> tuple[int, dict]:
-            depth = min(budget["depth"], 16)
+            capped = _at_ceilings(budget, "report: measure")
             entries = []
-            for j in range(1, min(budget["maxgen"], 6) + 1):
-                enc = tower_generation(obj.tower, j, depth).measure_enclosure
+            for j in range(1, capped["maxgen"] + 1):
+                enc = tower_generation(obj.tower, j, capped["depth"]).measure_enclosure
                 entries.append({"generation": j, "measure": enc})
             return EXIT_OK, {"verdict": CERTIFIED, "generations": entries}
 
         def series_l1() -> tuple[int, dict]:
-            enc = l1_norm(obj, min(budget["terms"], 48), min(budget["depth"], 20))
+            capped = _at_ceilings(budget, "report: l1")
+            enc = l1_norm(obj, capped["terms"], capped["depth"])
             return EXIT_OK, {"verdict": COMPUTED, "norm": enc.outward(96)}
 
         def unbounded() -> tuple[int, dict]:
@@ -514,8 +526,7 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], tuple[int, dict
         def dense() -> tuple[int, dict]:
             poly = _as_polynomial(obj)
             got = jump_search(poly, Fraction(2, 5), Fraction(3, 5),
-                              Fraction(1, 1000),
-                              min(10**5, 2 ** min(budget["maxgen"], 17)),
+                              Fraction(1, 1000), _index_budget(budget),
                               budget["terms"], budget["precision"])
             if isinstance(got, InconclusiveAtBudget):
                 return EXIT_INCONCLUSIVE, got.as_json()
@@ -523,7 +534,7 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], tuple[int, dict
                              "witness": got.certificate().as_json()["payload"]}
 
         def variation() -> tuple[int, dict]:
-            vb = variation_bounds(obj, terms=min(budget["terms"], 64),
+            vb = variation_bounds(obj, terms=_at_ceilings(budget, "report: variation")["terms"],
                                   precision=budget["precision"])
             return EXIT_OK, vb.certificate.as_json()
 
@@ -532,19 +543,17 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], tuple[int, dict
 
     else:
         def not_lebesgue() -> tuple[int, dict]:
-            if isinstance(obj, OscCombination):
-                got = restriction_witness(obj, 4, budget["precision"], 1000)
-            else:
-                got = nonlebesgue_witness(obj, 4, budget["precision"], 1000)
+            got = _nonlebesgue(obj, 4, budget["precision"], 1000)
             if isinstance(got, InconclusiveAtBudget):
                 return EXIT_INCONCLUSIVE, got.as_json()
             return EXIT_OK, {"verdict": CERTIFIED,
                              "witness": got.certificate().as_json()["payload"]}
 
         def alexiewicz() -> tuple[int, dict]:
-            tol = max(budget["tolerance"], Fraction(1, 10**6))
+            tol = budget["tolerance"]
             try:
-                enc = alexiewicz_norm(obj, tol, min(budget["precision"], 128))
+                enc = alexiewicz_norm(
+                    obj, tol, _at_ceilings(budget, "report: alexiewicz")["precision"])
             except NonterminationBudget as err:
                 return EXIT_INCONCLUSIVE, InconclusiveAtBudget(
                     str(err), {"tolerance": tol}).as_json()
@@ -591,6 +600,10 @@ def _add_common(p: _Parser, spec_required: bool = True) -> None:
     p.add_argument("--spec", action="append", metavar="PATH",
                    help="function spec JSON file" +
                         ("" if spec_required else " (optional)"))
+    _add_budget_flags(p)
+
+
+def _add_budget_flags(p: _Parser) -> None:
     p.add_argument("--budget", default="", metavar="K=V,...",
                    help="override budget keys: maxgen, depth, terms, "
                         "precision, tolerance")
@@ -704,11 +717,7 @@ def build_parser() -> _Parser:
                    help="spec files; none plus no --bundled gives an empty report")
     p.add_argument("--bundled", action="store_true",
                    help="also run the built-in claim checklist")
-    p.add_argument("--budget", default="", metavar="K=V,...")
-    p.add_argument("--precision", type=int)
-    p.add_argument("--tolerance", type=_fraction_flag)
-    p.add_argument("--csv", metavar="PATH")
-    p.add_argument("--json", action="store_true")
+    _add_budget_flags(p)
     p.set_defaults(handler=_cmd_report)
     return parser
 

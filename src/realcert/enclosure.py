@@ -74,19 +74,11 @@ class Enclosure:
         q = as_fraction(value)
         return Enclosure(q, q)
 
-    @staticmethod
-    def of(lo: RationalLike, hi: RationalLike) -> "Enclosure":
-        return Enclosure(as_fraction(lo), as_fraction(hi))
-
     # -- inspection ---------------------------------------------------
 
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
     @property
     def is_point(self) -> bool:

@@ -79,32 +79,19 @@ def _derivative_half(s_lo: Fraction, s_hi: Fraction, precision: int) -> Enclosur
     return swing - pull
 
 
-def _unit_primitive(t_lo: Fraction, t_hi: Fraction, precision: int) -> Enclosure:
+def _unit_branch(t_lo: Fraction, t_hi: Fraction, precision: int,
+                 primitive: bool) -> Enclosure:
+    """Hull of the two half-branches over [t_lo, t_hi] on the unit chart."""
     if t_lo == t_hi and (t_lo == 0 or t_lo == 1):
         return Enclosure(ZERO, ZERO)
+    half = _primitive_half if primitive else _derivative_half
     parts: list[Enclosure] = []
     if t_lo <= HALF:
-        parts.append(_primitive_half(t_lo, min(t_hi, HALF), precision))
+        parts.append(half(t_lo, min(t_hi, HALF), precision))
     if t_hi > HALF:
-        # mirrored branch carries the opposite sign
-        u_lo, u_hi = 1 - t_hi, 1 - max(t_lo, HALF)
-        parts.append(-_primitive_half(u_lo, u_hi, precision))
-    out = parts[0]
-    for piece in parts[1:]:
-        out = out.hull(piece)
-    return out
-
-
-def _unit_derivative(t_lo: Fraction, t_hi: Fraction, precision: int) -> Enclosure:
-    if t_lo == t_hi and (t_lo == 0 or t_lo == 1):
-        return Enclosure(ZERO, ZERO)
-    parts: list[Enclosure] = []
-    if t_lo <= HALF:
-        parts.append(_derivative_half(t_lo, min(t_hi, HALF), precision))
-    if t_hi > HALF:
-        # same formula in the reflected variable, sign preserved
-        u_lo, u_hi = 1 - t_hi, 1 - max(t_lo, HALF)
-        parts.append(_derivative_half(u_lo, u_hi, precision))
+        # same formula in the reflected variable; the primitive flips sign
+        mirrored = half(1 - t_hi, 1 - max(t_lo, HALF), precision)
+        parts.append(-mirrored if primitive else mirrored)
     out = parts[0]
     for piece in parts[1:]:
         out = out.hull(piece)
@@ -166,15 +153,18 @@ class Oscillator:
     def _chart(self, x_lo: Fraction, x_hi: Fraction) -> tuple[Fraction, Fraction]:
         return (x_lo - self.lo) / self.length, (x_hi - self.lo) / self.length
 
-    def _eval(self, x_lo: Fraction, x_hi: Fraction, precision: int,
+    def _eval(self, x: "Enclosure | RationalLike", precision: int,
               primitive: bool) -> Enclosure:
+        if isinstance(x, Enclosure):
+            x_lo, x_hi = x.lo, x.hi
+        else:
+            x_lo = x_hi = as_fraction(x)
         if x_hi < self.lo or x_lo > self.hi:
             return Enclosure(ZERO, ZERO)
         t_lo, t_hi = self._chart(max(x_lo, self.lo), min(x_hi, self.hi))
-        if primitive:
-            inner = _unit_primitive(t_lo, t_hi, precision)
-        else:
-            inner = _unit_derivative(t_lo, t_hi, precision) * (1 / self.length)
+        inner = _unit_branch(t_lo, t_hi, precision, primitive)
+        if not primitive:
+            inner = inner * (1 / self.length)
         if x_lo < self.lo or x_hi > self.hi:
             inner = inner.hull(Enclosure(ZERO, ZERO))
         return inner
@@ -183,10 +173,7 @@ class Oscillator:
                      precision: int = 96) -> Enclosure:
         if isinstance(x, Extremum):
             return Enclosure.point(x.height())
-        if isinstance(x, Enclosure):
-            return self._eval(x.lo, x.hi, precision, primitive=True)
-        q = as_fraction(x)
-        return self._eval(q, q, precision, primitive=True)
+        return self._eval(x, precision, primitive=True)
 
     def derivative_at(self, x: "Enclosure | Extremum | RationalLike",
                       precision: int = 96) -> Enclosure:
@@ -195,10 +182,7 @@ class Oscillator:
             sign = 1 if x.k % 2 == 0 else -1
             peak = x.point(precision)
             return sign * 8 * peak * (1 / self.length)
-        if isinstance(x, Enclosure):
-            return self._eval(x.lo, x.hi, precision, primitive=False)
-        q = as_fraction(x)
-        return self._eval(q, q, precision, primitive=False)
+        return self._eval(x, precision, primitive=False)
 
     def value_at(self, x: "Enclosure | Extremum | RationalLike",
                  precision: int = 96) -> Enclosure:
@@ -501,10 +485,6 @@ def restriction_witness(c: OscCombination, bar: RationalLike, precision: int = 9
 # ---------------------------------------------------------------------------
 
 
-def _combination_boxes(c: OscCombination) -> list[tuple[Fraction, Fraction]]:
-    return [OscCombination.support(k) for k, _ in c.alphas]
-
-
 def alexiewicz_norm(obj: "OscCombination | Oscillator", tol: RationalLike,
                     precision: int = 64, queue_limit: int = 100_000) -> Enclosure:
     """Enclose sup |primitive| to within tol by certified bisection.
@@ -520,7 +500,7 @@ def alexiewicz_norm(obj: "OscCombination | Oscillator", tol: RationalLike,
     if isinstance(obj, OscCombination):
         if obj.is_zero:
             return Enclosure(ZERO, ZERO)
-        spans = _combination_boxes(obj)
+        spans = [OscCombination.support(k) for k, _ in obj.alphas]
     else:
         spans = [(obj.lo, obj.hi)]
 

@@ -14,7 +14,6 @@ RationalLike = Fraction | int | str
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-TWO = Fraction(2)
 HALF = Fraction(1, 2)
 
 

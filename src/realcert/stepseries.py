@@ -24,6 +24,7 @@ from .cantor import (
     InfeasibleMass,
     NotFoundAtDepth,
     TowerSpec,
+    fill_first_hole,
     find_component,
     tower_generation,
 )
@@ -79,13 +80,17 @@ class IntervalTooShort(ValueError):
 # ---------------------------------------------------------------------------
 
 
+_NAMED_RULES = {"all": (1, 1), "even": (2, 2), "odd": (1, 2)}
+
+
 @dataclass(frozen=True)
 class PowerAlongSubsequence:
     """Value theta^(n_j) on generation n_j, zero elsewhere.
 
     subseq names the exponent sequence: "all" (n_j = j), "even" (2j),
     "odd" (2j - 1), "arith:start:stride", or an explicit increasing tuple
-    (a finite series).
+    (a finite series).  The three named rules are the arithmetic rules
+    arith:1:1, arith:2:2 and arith:1:2.
     """
 
     theta: Fraction
@@ -97,12 +102,11 @@ class PowerAlongSubsequence:
             raise ValueError(f"tilt {self.theta} must exceed 1")
         s = self.subseq
         if isinstance(s, str):
-            if s not in ("all", "even", "odd") and not s.startswith("arith:"):
+            if s not in _NAMED_RULES and not s.startswith("arith:"):
                 raise ValueError(f"unknown subsequence rule {s!r}")
-            if s.startswith("arith:"):
-                start, stride = self._arith()
-                if start < 1 or stride < 1:
-                    raise ValueError(f"bad arithmetic rule {s!r}")
+            start, stride = self._arith()
+            if start < 1 or stride < 1:
+                raise ValueError(f"bad arithmetic rule {s!r}")
         else:
             t = tuple(int(n) for n in s)
             if not t or t[0] < 1 or any(y <= x for x, y in zip(t, t[1:])):
@@ -110,6 +114,9 @@ class PowerAlongSubsequence:
             object.__setattr__(self, "subseq", t)
 
     def _arith(self) -> tuple[int, int]:
+        """(start, stride) of a named or "arith:start:stride" rule."""
+        if self.subseq in _NAMED_RULES:
+            return _NAMED_RULES[self.subseq]
         _, start, stride = self.subseq.split(":")
         return int(start), int(stride)
 
@@ -126,12 +133,6 @@ class PowerAlongSubsequence:
             if j > len(s):
                 raise IndexError(f"finite subsequence has {len(s)} terms")
             return s[j - 1]
-        if s == "all":
-            return j
-        if s == "even":
-            return 2 * j
-        if s == "odd":
-            return 2 * j - 1
         start, stride = self._arith()
         return start + stride * (j - 1)
 
@@ -139,12 +140,6 @@ class PowerAlongSubsequence:
         s = self.subseq
         if isinstance(s, tuple):
             return g in s
-        if s == "all":
-            return g >= 1
-        if s == "even":
-            return g >= 2 and g % 2 == 0
-        if s == "odd":
-            return g >= 1 and g % 2 == 1
         start, stride = self._arith()
         return g >= start and (g - start) % stride == 0
 
@@ -427,10 +422,8 @@ def unbounded_witness(
         v = s.value_at_generation(g)
         if abs(v) > bar:
             return UnboundedWitness(g, v, comp)
-        a = comp.spec.a + comp.spec.kept_len(1)
-        b = a + comp.spec.hole_len(1)
         g += 1
-        comp = CantorApprox(CantorSpec(a, b, s.tower.rho(g) * (b - a)), depth)
+        comp = fill_first_hole(s.tower, comp, g)
     return InconclusiveAtBudget(
         f"no generation <= {maxgen} on the drill path exceeds {bar}", budget
     )

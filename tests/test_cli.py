@@ -6,6 +6,7 @@ at budget; 1 is reserved for malformed requests.
 """
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -247,6 +248,45 @@ def test_unknown_budget_key(specs, capsys):
     code, out = run(capsys, "norm", "l1", "--spec", specs["tower"],
                     "--budget", "frobs=3")
     assert code == 1 and "budget" in out["error"]
+
+
+@pytest.mark.parametrize("command,spec,extra,key,span", [
+    (("fn", "eval"), "osc", ("--at", "3/10", "--precision", "1000000"),
+     "precision", "1..1024"),
+    (("fn", "eval"), "jump", ("--at", "1/3", "--budget", "terms=10000000"),
+     "terms", "1..4096"),
+    (("norm", "alexiewicz"), "osc", ("--tolerance", "1/100000000"),
+     "tolerance", "1/1000000..1"),
+    (("certify", "non-lebesgue"), "osc", ("--bound", "30", "--budget", "maxgen=100000"),
+     "maxgen", "1..64"),
+    (("certify", "unbounded"), "tower",
+     ("--interval", "3/8", "5/8", "--bound", "2", "--budget", "depth=100000"),
+     "depth", "1..64"),
+], ids=["precision", "terms", "tolerance", "maxgen", "depth"])
+def test_out_of_range_budget_is_rejected_fast(specs, capsys, command, spec, extra,
+                                              key, span):
+    # each of these ran for many seconds, or crashed, before budgets had ranges
+    started = time.monotonic()
+    code, out = run(capsys, *command, "--spec", specs[spec], *extra)
+    assert time.monotonic() - started < 1
+    assert code == 1
+    assert f"budget {key} must lie in {span}" in out["error"]
+
+
+@pytest.mark.parametrize("budget,message", [
+    ({"depth": 65}, "budget depth must lie in 1..64"),
+    ({"maxgen": True}, "budget maxgen must be an integer"),
+])
+def test_spec_file_budget_is_checked(capsys, tmp_path, budget, message):
+    spec = tmp_path / "budget.json"
+    spec.write_text(json.dumps(dict(TOWER, budget=budget)))
+    code, out = run(capsys, "tower", "build", "--spec", str(spec))
+    assert code == 1 and message in out["error"]
+
+
+def test_report_tolerance_below_range_is_rejected(specs, capsys):
+    code, out = run(capsys, "report", specs["osc"], "--tolerance", "1/10000000")
+    assert code == 1 and "budget tolerance" in out["error"]
 
 
 def test_bad_subcommand(capsys):

@@ -1,0 +1,141 @@
+"""Byte parity of the command line on the bundled specs.
+
+Each row runs one request in process through main() and compares its
+exit code and the sha256 of its canonical stdout against a recorded
+digest.  Timing (wall_ms) and the library version are stripped first;
+everything else a request prints is pinned.  The rows cover every
+subcommand, every per-command budget ceiling, the inconclusive exits and
+the usage errors.  The specs are addressed relative to their directory,
+so report entries name them the same way in every checkout.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from realcert.cli import main
+
+SPECS = Path(__file__).resolve().parents[1] / "src" / "realcert" / "specs"
+VOLATILE = frozenset({"wall_ms", "library"})
+
+T, J, O = "tower.json", "jump.json", "osc.json"
+
+# (argv, exit code, sha256 of the stripped canonical stdout)
+MATRIX = [
+    # tower
+    (("tower", "build", "--spec", T), 0,
+     "be084824ffa45ef034aeecded33cf29f94fb3c1b9cccd3a1b016382118c74679"),
+    (("tower", "build", "--spec", T, "--budget", "maxgen=30,depth=50"), 0,
+     "6628dad2614c7374714c35f90b2fd0f3651bd15a3b94c1a036f52d1fc817ad3c"),
+    (("tower", "show", "--spec", T, "--generation", "2", "--budget", "depth=3"), 0,
+     "5c1e5d87a67246580900d8ba81718bb5c6b2dddeebe6d5b604f88baf404764a7"),
+    (("tower", "show", "--spec", T, "--generation", "1", "--budget", "depth=21"), 0,
+     "8118da715ae59675ee0ec999a51223a7a913a0d911f5456fadc11040df214227"),
+    # fn
+    (("fn", "eval", "--spec", T, "--at", "3/8"), 0,
+     "f3ccbbcafc417fbeda2056a0e8f3fc77f1c2465690d41cd61d72e46c61e9f287"),
+    (("fn", "eval", "--spec", T, "--at", "1/3"), 2,
+     "4c3eb3c116c5dba277184a180ce39ccb0ece8a48f82e70d2856b9e797f954e4a"),
+    (("fn", "eval", "--spec", J, "--at", "1/3", "--precision", "96"), 0,
+     "15592821c33b99b296addb4e1eae08bfafb668ae5c393c7042798b96d8243d77"),
+    (("fn", "eval", "--spec", O, "--at", "3/10"), 0,
+     "5c64677a07d6688958a31e5eb43cc9cba9df915a774948b36abd08195bdcd08e"),
+    (("fn", "integrate", "--spec", O, "--from", "0", "--to", "1"), 0,
+     "30a64c647def45e1de6e41dbff2565890e7eef8e13e28a5029d282ce13211520"),
+    (("fn", "integrate", "--spec", O, "--from", "1/3", "--to", "2/3"), 0,
+     "2ef99d614a0836c28ddf63b4b0f0a678d697256de6d506bdc468474d3b17ce89"),
+    # norm
+    (("norm", "l1", "--spec", T), 0,
+     "10b4f554cdf5ec0fd4905c7f10f8b856b205cf80d4e68b3d89f9a1298eb21901"),
+    (("norm", "bv", "--spec", J), 0,
+     "c8e547931081d6ac1ca6fccec01bcd05bd2803fee1598b90f79d7c496abf1ac0"),
+    (("norm", "alexiewicz", "--spec", O), 0,
+     "fcf29cf0d3d1961d244910f41eb7069e813f1fd0ffae55c9615593e3439f3051"),
+    (("norm", "alexiewicz", "--spec", O, "--precision", "200"), 0,
+     "b57d4d57a22c4456594b85bde423304e9d16dad24e1646e8899a3beafa45a234"),
+    # certify
+    (("certify", "unbounded", "--spec", T, "--interval", "3/8", "5/8",
+      "--bound", "1000000"), 0,
+     "37017e9de49adc47c5b450765cfbc0ae50891626ed5903837366a280e28952df"),
+    (("certify", "unbounded", "--spec", T, "--interval", "3/8", "5/8",
+      "--bound", "2", "--budget", "maxgen=1"), 2,
+     "6c2f03d83edac4308345d82fd5955555961f9eb4b977dc6527de93fd29eedaa9"),
+    (("certify", "jump-dense", "--spec", J, "--interval", "2/5", "1/2"), 0,
+     "2971c3561c8fc8801970f29cdc58ae423e8b0182bdf0dd1ae5b9e7e8d0d516a5"),
+    (("certify", "jump-dense", "--spec", J, "--interval", "1/1000", "1/999",
+      "--budget", "maxgen=2"), 2,
+     "4663a68e59032a7badaec07a26ebd4bd86abfc8709b7f1149704823b8d37d8e3"),
+    (("certify", "non-lebesgue", "--spec", O, "--bound", "4"), 0,
+     "f3d13c3c2a386a4287ffa3532378db611bae3685fb33be40328b7dbcd94ee904"),
+    (("certify", "non-lebesgue", "--spec", O, "--bound", "40",
+      "--budget", "maxgen=1"), 2,
+     "a56d13001a403eb8fa98b19febd06354802740c6481018b69782884e69440488"),
+    (("certify", "basis", "--spec", T, "--coeffs", "1,-2,1", "--m2", "3"), 0,
+     "1500bfdecda6d89466436b785f6649e75a34f5871c4f03aae9f3aa54cb1088b6"),
+    (("certify", "perturbation", "--bound", "1", "--interval", "0", "1",
+      "--radius", "3/5"), 0,
+     "d51a634d0eaf73d7dd9fa375f8e676aaa9bece914a61285e208344a3b3efbd08"),
+    # report
+    (("report",), 0,
+     "d801aa1fb7ddcc330a5e3173372ea6af4a3d08ec58074478e85aa5603e926658"),
+    (("report", T), 0,
+     "f81d78c317d1e82b3cddabf26917d632f2546670656547385accdc0ae9bac83b"),
+    (("report", J), 0,
+     "0f6fb4330acfea9a379b5ea3859fc240cef557a9d5ce85fcb39570799d89db3e"),
+    (("report", O), 0,
+     "dc2ed29e6e2ed65ea3b99fa1ec42ae5b8ae5c28dd2f0cb1c1a8b2d45b66aab8f"),
+    (("report", T, "--budget", "maxgen=1"), 2,
+     "862ce1ed5d07f75d08c02fbca5992887784880e83bed85f8b6801518df71745f"),
+    # usage errors
+    (("frobnicate",), 1,
+     "834ec6222eb3650ca13cbfdb8719545627269c3279d2c7164d714841420dc22f"),
+    (("norm", "l1"), 1,
+     "50fe1cfd3f30a34a231ae882d889a09b740385c097304de3ff4f2b388950c1a8"),
+    (("norm", "l1", "--spec", T, "--spec", J), 1,
+     "50fe1cfd3f30a34a231ae882d889a09b740385c097304de3ff4f2b388950c1a8"),
+    (("norm", "l1", "--spec", "missing.json"), 1,
+     "ae2a6a8763612cfad946b09cb40d132229e154fedf4d55a72985b177a1bf65c3"),
+    (("norm", "l1", "--spec", O), 1,
+     "0b3bac18327301dc61462fd934bcf3623544a3419444ac5aedacb8cb54875027"),
+    (("norm", "l1", "--spec", T, "--budget", "frobs=3"), 1,
+     "95aac1634f9411c6fa4fe86f031ef170c97659552216313b61f0865d66fb1b21"),
+    (("norm", "l1", "--spec", T, "--budget", "depth"), 1,
+     "f0370523da81195b393f5bf23a52d773ad9ada91a1e26a89006d17fedc94a253"),
+    (("norm", "l1", "--spec", T, "--budget", "depth=deep"), 1,
+     "675eed161f8bcd36b969ac999cb690f9c0202b9a40e37b55e3432ba59b921eb2"),
+    (("norm", "l1", "--spec", T, "--tolerance", "1/0"), 1,
+     "e46c178f7751594a61e67f53facbf0d7bfb9f0e6b1262150e469b40d0b740e7c"),
+    (("norm", "l1", "--spec", T, "--csv", "rows.csv"), 1,
+     "a36cda9aae3d12100a481a899a89aa6b3032c17af910a2d51a81a34e6065031f"),
+    (("fn", "eval", "--spec", T, "--at", "1/2", "--grid", "4"), 1,
+     "f1410eb3931d66cefe76f55a67f6fce574ce87a4292b6341b5e9a5e979d85f42"),
+    (("tower", "show", "--spec", T, "--generation", "3"), 1,
+     "79a03b409b0d0849d04e58076e279114d10e3c5daedb0c74a0faab9a946386d2"),
+    (("certify", "basis", "--coeffs", "1,1"), 1,
+     "28f28cd9f0460c0bc93530c6b5558275404e88dad9a08790af98fedb81580331"),
+    (("certify", "jump-dense", "--spec", T, "--interval", "0", "1"), 1,
+     "187387f8910ec2046167cb0ae4c1a720cfa454e854ea4a0957f093db20ad82d5"),
+]
+
+
+def _strip(data):
+    if isinstance(data, dict):
+        return {k: _strip(v) for k, v in data.items() if k not in VOLATILE}
+    if isinstance(data, list):
+        return [_strip(v) for v in data]
+    return data
+
+
+def stripped_digest(stdout: str) -> str:
+    text = json.dumps(_strip(json.loads(stdout)), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("argv,code,digest", MATRIX, ids=[" ".join(r[0]) for r in MATRIX])
+def test_cli_output_is_pinned(argv, code, digest, capsys, monkeypatch):
+    monkeypatch.chdir(SPECS)
+    got = main(list(argv))
+    out = capsys.readouterr().out
+    assert (got, stripped_digest(out)) == (code, digest)
