@@ -22,6 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
 
+from .certificates import InconclusiveAtBudget
 from .enclosure import Enclosure
 from .rational import ONE, ZERO, RationalLike, as_fraction, format_fraction, pow2
 
@@ -31,7 +32,6 @@ __all__ = [
     "ComponentWitness",
     "DepthTooSmall",
     "InfeasibleMass",
-    "NotFoundAtDepth",
     "PointWalk",
     "TowerApprox",
     "TowerSpec",
@@ -351,23 +351,6 @@ def tower_generation(spec: TowerSpec, j: int, d: int) -> TowerApprox:
 
 
 @dataclass(frozen=True)
-class NotFoundAtDepth:
-    """Inconclusive search verdict (never a refutation)."""
-
-    generation_budget: int
-    depth_budget: int
-    reason: str
-
-    def as_json(self) -> dict:
-        return {
-            "verdict": "not-found-at-depth",
-            "generation_budget": self.generation_budget,
-            "depth_budget": self.depth_budget,
-            "reason": self.reason,
-        }
-
-
-@dataclass(frozen=True)
 class ComponentWitness:
     generation: int
     component: CantorApprox
@@ -383,7 +366,7 @@ def find_component(
     *,
     max_generation: int,
     depth: int,
-) -> ComponentWitness | NotFoundAtDepth:
+) -> ComponentWitness | InconclusiveAtBudget:
     """First component (on a deterministic drill path) whose span lies in [lo, hi].
 
     The drill keeps a target subinterval T of [lo, hi] inside the current
@@ -395,6 +378,7 @@ def find_component(
     bounds the whole search.
     """
     j1, j2 = as_fraction(lo), as_fraction(hi)
+    budget = {"maxgen": max_generation, "depth": depth}
     if not (0 <= j1 < j2 <= 1):
         raise ValueError(f"target [{j1}, {j2}] is not a nondegenerate subinterval of [0, 1]")
     if max_generation < 1 or depth < 1:
@@ -417,13 +401,13 @@ def find_component(
             if t1 <= g1 and g2 <= t2:
                 # hole inside the target: its filling component is the witness
                 if gen + 1 > max_generation:
-                    return NotFoundAtDepth(max_generation, depth, "generation budget exhausted")
+                    return InconclusiveAtBudget("generation budget exhausted", budget)
                 return ComponentWitness(gen + 1, _fill(spec, gen + 1, g1, g2, depth))
             if g1 < m < g2:
                 if g1 <= t1 and t2 <= g2:
                     # hole covers the whole target: descend into its filler
                     if gen + 1 > max_generation:
-                        return NotFoundAtDepth(max_generation, depth, "generation budget exhausted")
+                        return InconclusiveAtBudget("generation budget exhausted", budget)
                     gen += 1
                     comp = CantorSpec(g1, g2, spec.rho(gen) * (g2 - g1))
                 else:
@@ -432,7 +416,7 @@ def find_component(
                     right = (max(t1, g2), t2)
                     pick = left if left[1] - left[0] >= right[1] - right[0] else right
                     if pick[1] <= pick[0]:
-                        return NotFoundAtDepth(max_generation, depth, "target shrank to a point")
+                        return InconclusiveAtBudget("target shrank to a point", budget)
                     t1, t2 = pick
                 descended = True
                 break
@@ -440,8 +424,8 @@ def find_component(
                 p = g2
             n += 1
         if not descended:
-            return NotFoundAtDepth(max_generation, depth, "depth budget exhausted")
-    return NotFoundAtDepth(max_generation, depth, "search budget exhausted")
+            return InconclusiveAtBudget("depth budget exhausted", budget)
+    return InconclusiveAtBudget("search budget exhausted", budget)
 
 
 def component_at_generation(
@@ -450,21 +434,22 @@ def component_at_generation(
     hi: RationalLike,
     generation: int,
     depth: int,
-) -> CantorApprox | NotFoundAtDepth:
+) -> CantorApprox | InconclusiveAtBudget:
     """A generation-g component inside [lo, hi], deepening through level-1 holes.
 
     After the drill finds its first contained component (generation g1),
     each level-1 hole descent raises the generation by one while staying
     inside the span, so any generation >= g1 is reachable.  Requests below
-    g1 come back NotFoundAtDepth (inconclusive: a different path might
-    contain one).
+    g1 come back InconclusiveAtBudget (a different path might contain
+    one).
     """
     got = find_component(spec, lo, hi, max_generation=generation, depth=depth)
-    if isinstance(got, NotFoundAtDepth):
+    if isinstance(got, InconclusiveAtBudget):
         return got
     g, comp = got.generation, got.component
     if g > generation:
-        return NotFoundAtDepth(generation, depth, f"first contained component has generation {g}")
+        return InconclusiveAtBudget(f"first contained component has generation {g}",
+                                    {"maxgen": generation, "depth": depth})
     while g < generation:
         g += 1
         comp = fill_first_hole(spec, comp, g)

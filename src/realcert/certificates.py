@@ -9,9 +9,10 @@ round-trips) so identical runs produce byte-identical output.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .enclosure import Enclosure
 from .rational import format_fraction
@@ -19,21 +20,34 @@ from .rational import format_fraction
 __all__ = [
     "CERTIFIED",
     "COMPUTED",
+    "EXIT_FAILED",
+    "EXIT_INCONCLUSIVE",
+    "EXIT_OK",
     "INCONCLUSIVE",
     "Certificate",
     "InconclusiveAtBudget",
     "jsonable",
     "canonical_dumps",
+    "timed_check",
 ]
 
 CERTIFIED = "certified"
 COMPUTED = "computed"
 INCONCLUSIVE = "inconclusive-at-budget"
 
+# process exit codes: certified or computed; failed or malformed request;
+# budget spent before the claim settled (never a refutation)
+EXIT_OK = 0
+EXIT_FAILED = 1
+EXIT_INCONCLUSIVE = 2
+
 
 @dataclass(frozen=True)
 class InconclusiveAtBudget:
-    """The finite search did not settle the claim; never a refutation."""
+    """The finite search did not settle the claim; never a refutation.
+
+    Every bounded search returns this when its budget, named in budget, runs out.
+    """
 
     reason: str
     budget: dict = field(default_factory=dict)
@@ -86,3 +100,11 @@ class Certificate:
             "payload": jsonable(self.payload),
             "budget": jsonable(self.budget),
         }
+
+
+def timed_check(check: Callable[[], tuple[int, Any]]) -> tuple[int, dict]:
+    """Run one check: its exit code, and its JSON payload with wall_ms."""
+    started = time.monotonic()
+    code, payload = check()
+    wall = int(round(1000 * (time.monotonic() - started)))
+    return code, {"payload": jsonable(payload), "wall_ms": wall}

@@ -11,12 +11,12 @@ reproducible byte for byte apart from wall-clock fields.
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .cantor import TowerSpec, tower_generation
-from .certificates import CERTIFIED, COMPUTED, InconclusiveAtBudget, jsonable
+from .certificates import (CERTIFIED, COMPUTED, EXIT_FAILED, EXIT_INCONCLUSIVE,
+                           EXIT_OK, InconclusiveAtBudget, timed_check)
 from .jumps import (ExpPoly, JumpPolynomial, ShiftCombination, SqrtShift,
                     ZeroPolynomial, enum_rational,
                     expand_generator_polynomial, jump_contribution_table,
@@ -32,10 +32,6 @@ from .stepseries import (DominanceIndex, PowerAlongSubsequence, StepFunction,
                          dominance_index, unbounded_witness, l1_norm)
 
 _SEED = 97
-
-EXIT_OK = 0
-EXIT_FAILED = 1
-EXIT_INCONCLUSIVE = 2
 
 # density searches stay inside the enumeration's well-covered band; the
 # first 10^5 enumerated rationals leave no gap of 1/50 in here
@@ -120,8 +116,8 @@ def _check_dominance() -> tuple[int, dict]:
 
 def _check_perturbation() -> tuple[int, dict]:
     radius = Fraction(3, 5)
-    result = comeager_perturbation(StepFunction(), 1, (ZERO, Fraction(1)), radius)
-    payload = result.certificate.payload
+    cert = comeager_perturbation(StepFunction(), 1, (ZERO, Fraction(1)), radius).certificate()
+    payload = cert.payload
     distance = payload["perturbation_l1_distance"]
     threshold = payload["violation_threshold"]
     ok = (distance == Fraction(1, 5)
@@ -129,7 +125,7 @@ def _check_perturbation() -> tuple[int, dict]:
           and threshold == radius / 6
           and payload["radius_seventh"] == radius / 7
           and threshold > payload["radius_seventh"])
-    return (EXIT_OK if ok else EXIT_FAILED, result.certificate.as_json())
+    return (EXIT_OK if ok else EXIT_FAILED, cert.as_json())
 
 
 def _check_jump_exactness(indices: Sequence[int]) -> tuple[int, dict]:
@@ -308,15 +304,18 @@ def _check_alexiewicz(depths: Sequence[int],
                       combinations: Sequence[dict[int, Fraction]]) -> tuple[int, dict]:
     """Unit norm in [0.68, 0.69], the same at every depth, scaling with max |alpha_k|."""
     tol = Fraction(1, 1000)
-    base = alexiewicz_norm(OscCombination.of({1: 1}), tol)
+    units = [{k: 1} for k in (1, *depths)]
+    norms = [alexiewicz_norm(OscCombination.of(c), tol) for c in (*units, *combinations)]
+    for got in norms:
+        if isinstance(got, InconclusiveAtBudget):
+            return EXIT_INCONCLUSIVE, got.as_json()
+    base = norms[0]
     ok = Fraction(68, 100) <= base.lo and base.hi <= Fraction(69, 100)
-    for k in depths:
-        other = alexiewicz_norm(OscCombination.of({k: 1}), tol)
+    for other in norms[1:len(units)]:
         ok = ok and other.lo <= base.hi + 2 * tol and base.lo <= other.hi + 2 * tol
     scaled_checks = []
-    for coeffs in combinations:
+    for coeffs, got in zip(combinations, norms[len(units):]):
         peak = max(abs(v) for v in coeffs.values())
-        got = alexiewicz_norm(OscCombination.of(coeffs), tol)
         lo_ref, hi_ref = peak * base.lo, peak * base.hi
         agree = (got.lo <= hi_ref + 2 * tol and lo_ref <= got.hi + 2 * tol)
         ok = ok and agree
@@ -409,15 +408,7 @@ def run_checklist() -> list[dict]:
     """Run all bundled checks; entries carry exit_code for the caller."""
     entries = []
     for number, title, claim, check in _CHECKS:
-        started = time.monotonic()
-        code, payload = check()
-        wall = int(round(1000 * (time.monotonic() - started)))
-        entries.append({
-            "criterion": number,
-            "title": title,
-            "claim": claim,
-            "payload": jsonable(payload),
-            "wall_ms": wall,
-            "exit_code": code,
-        })
+        code, timed = timed_check(check)
+        entries.append({"criterion": number, "title": title, "claim": claim,
+                        "exit_code": code, **timed})
     return entries

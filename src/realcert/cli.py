@@ -20,23 +20,21 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .cantor import TowerSpec, tower_generation
-from .certificates import (CERTIFIED, COMPUTED, INCONCLUSIVE, Certificate,
-                           InconclusiveAtBudget, canonical_dumps, jsonable)
+from .certificates import (CERTIFIED, COMPUTED, EXIT_FAILED, EXIT_INCONCLUSIVE,
+                           EXIT_OK, INCONCLUSIVE, Certificate,
+                           InconclusiveAtBudget, canonical_dumps, jsonable,
+                           timed_check)
 from .enclosure import Enclosure
 from .jumps import (JumpPolynomial, JumpSeries, ShiftCombination,
                     jump_enclosure, jump_search, staircase_polynomial,
                     variation_bounds)
-from .oscillator import (NonterminationBudget, OscCombination, Oscillator,
-                         alexiewicz_norm, kurzweil_integral,
-                         nonlebesgue_witness, restriction_witness)
-from .rational import dyadic_floor, format_fraction
+from .oscillator import (OscCombination, Oscillator, alexiewicz_norm,
+                         kurzweil_integral, nonlebesgue_witness,
+                         restriction_witness)
+from .rational import as_fraction, dyadic_floor, format_fraction
 from .stepseries import (StepFunction, StepSeries, basis_inequality_check,
                          comeager_perturbation, disjoint_power_family,
                          eval_series, l1_norm, unbounded_witness)
-
-EXIT_OK = 0
-EXIT_USAGE = 1
-EXIT_INCONCLUSIVE = 2
 
 KINDS = ("tower-series", "jump-polynomial", "oscillator-combination")
 
@@ -102,8 +100,8 @@ def _validate_budget_items(raw: dict, where: str) -> dict:
             raise SpecError(f"{where}: unknown budget key {key!r}")
         if key == "tolerance":
             try:
-                value = Fraction(value) if not isinstance(value, Fraction) else value
-            except (ValueError, ZeroDivisionError) as err:
+                value = as_fraction(value)
+            except (TypeError, ValueError, ZeroDivisionError) as err:
                 raise SpecError(f"{where}: bad tolerance {value!r}") from err
         else:
             try:
@@ -136,14 +134,21 @@ def _parse_budget(raw: dict, where: str) -> dict:
     return out
 
 
+def _reject_float(text: str):
+    # json.load hook for floats, NaN and Infinity: none of them is exact
+    raise SpecError(f"{text} is a float; write it as a \"p/q\" string")
+
+
 def load_spec(path: str, overrides: dict | None = None) -> FunctionSpec:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=_reject_float, parse_constant=_reject_float)
     except OSError as err:
         raise SpecError(f"cannot read spec {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise SpecError(f"spec {path} is not valid JSON: {err}") from err
+    except SpecError as err:
+        raise SpecError(f"spec {path}: {err}") from err
     if not isinstance(data, dict):
         raise SpecError(f"spec {path}: top level must be an object")
     kind = data.get("kind")
@@ -203,12 +208,9 @@ def _require_kind(spec: FunctionSpec, *kinds: str) -> None:
                         f"got {spec.kind}")
 
 
-def _with_provenance(cert: Certificate, spec: FunctionSpec,
-                     claim: str | None = None) -> dict:
-    """A library certificate's JSON, under the CLI's claim name if given."""
+def _with_provenance(cert: Certificate, spec: FunctionSpec) -> dict:
+    """A library certificate's JSON, stamped with the spec's provenance."""
     payload = cert.as_json()
-    if claim is not None:
-        payload["claim"] = claim
     payload["provenance"] = jsonable(spec.provenance())
     return payload
 
@@ -346,18 +348,15 @@ def _cmd_norm_bv(args):
     spec, obj = _single_spec(args, "jump-polynomial")
     result = variation_bounds(obj, terms=spec.budget["terms"],
                               precision=spec.budget["precision"])
-    return EXIT_OK, _with_provenance(result.certificate, spec), None
+    return EXIT_OK, _with_provenance(result.certificate(), spec), None
 
 
 def _cmd_norm_alexiewicz(args):
     spec, obj = _single_spec(args, "oscillator-combination")
     tol = spec.budget["tolerance"]
-    try:
-        enc = alexiewicz_norm(obj, tol,
-                              _at_ceilings(spec.budget, "norm alexiewicz")["precision"])
-    except NonterminationBudget as err:
-        verdict = InconclusiveAtBudget(str(err), {"tolerance": tol})
-        return EXIT_INCONCLUSIVE, verdict.as_json(), None
+    enc = alexiewicz_norm(obj, tol, _at_ceilings(spec.budget, "norm alexiewicz")["precision"])
+    if isinstance(enc, InconclusiveAtBudget):
+        return EXIT_INCONCLUSIVE, enc.as_json(), None
     cert = Certificate("norm-enclosure", COMPUTED,
                        {"space": "Alexiewicz",
                         "norm": enc.outward(spec.budget["precision"]),
@@ -403,7 +402,7 @@ def _cmd_certify_jump_dense(args):
                       budget["terms"], budget["precision"])
     if isinstance(got, InconclusiveAtBudget):
         return EXIT_INCONCLUSIVE, got.as_json(), None
-    return EXIT_OK, _with_provenance(got.certificate(), spec, "jump-dense-sample"), None
+    return EXIT_OK, _with_provenance(got.certificate(), spec), None
 
 
 def _nonlebesgue(obj, bar, precision: int, max_peaks: int):
@@ -418,7 +417,7 @@ def _cmd_certify_non_lebesgue(args):
                        1000 * spec.budget["maxgen"])
     if isinstance(got, InconclusiveAtBudget):
         return EXIT_INCONCLUSIVE, got.as_json(), None
-    payload = _with_provenance(got.certificate(), spec, "non-lebesgue")
+    payload = _with_provenance(got.certificate(), spec)
     base = got.base if hasattr(got, "base") else got
     rows = [(k, running, running) for k, _, running in base.rows()]
     return EXIT_OK, payload, _csv(("index", "lo", "hi"), rows)
@@ -467,14 +466,15 @@ def _cmd_certify_perturbation(args):
     if args.pieces:
         try:
             with open(args.pieces, encoding="utf-8") as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, parse_float=_reject_float,
+                                parse_constant=_reject_float)
             pieces = tuple((Fraction(a), Fraction(b), Fraction(v)) for a, b, v in raw)
         except (OSError, ValueError, TypeError, json.JSONDecodeError) as err:
             raise SpecError(f"bad pieces file {args.pieces}: {err}") from err
     f = StepFunction(pieces)
     lo, hi = args.interval
     result = comeager_perturbation(f, args.bound, (lo, hi), args.radius)
-    payload = result.certificate.as_json()
+    payload = result.certificate().as_json()
     payload["claim"] = "perturbation"
     return EXIT_OK, payload, None
 
@@ -536,7 +536,7 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], tuple[int, dict
         def variation() -> tuple[int, dict]:
             vb = variation_bounds(obj, terms=_at_ceilings(budget, "report: variation")["terms"],
                                   precision=budget["precision"])
-            return EXIT_OK, vb.certificate.as_json()
+            return EXIT_OK, vb.certificate().as_json()
 
         checks += [("jump-nonzero", nonzero), ("jump-dense-sample", dense),
                    ("norm-enclosure", variation)]
@@ -551,12 +551,10 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], tuple[int, dict
 
         def alexiewicz() -> tuple[int, dict]:
             tol = budget["tolerance"]
-            try:
-                enc = alexiewicz_norm(
-                    obj, tol, _at_ceilings(budget, "report: alexiewicz")["precision"])
-            except NonterminationBudget as err:
-                return EXIT_INCONCLUSIVE, InconclusiveAtBudget(
-                    str(err), {"tolerance": tol}).as_json()
+            enc = alexiewicz_norm(obj, tol,
+                                  _at_ceilings(budget, "report: alexiewicz")["precision"])
+            if isinstance(enc, InconclusiveAtBudget):
+                return EXIT_INCONCLUSIVE, enc.as_json()
             return EXIT_OK, {"verdict": COMPUTED, "norm": enc, "tolerance": tol}
 
         checks += [("non-lebesgue", not_lebesgue), ("norm-enclosure", alexiewicz)]
@@ -564,12 +562,9 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], tuple[int, dict
 
 
 def _cmd_report(args):
-    import time as _time
     entries = []
     worst = EXIT_OK
-    specs: list[tuple[str, FunctionSpec]] = []
-    for path in args.specs:
-        specs.append((path, load_spec(path, args.budget_overrides)))
+    specs = [(path, load_spec(path, args.budget_overrides)) for path in args.specs]
     if args.bundled:
         from .checklist import run_checklist
         for entry in run_checklist():
@@ -577,17 +572,10 @@ def _cmd_report(args):
             entries.append(entry)
     for path, spec in specs:
         for claim, check in _battery(spec):
-            started = _time.monotonic()
-            code, payload = check()
-            wall = int(round(1000 * (_time.monotonic() - started)))
+            code, timed = timed_check(check)
             worst = max(worst, code)
-            entries.append({
-                "spec": path,
-                "spec_sha256": spec.sha256,
-                "claim": claim,
-                "payload": jsonable(payload),
-                "wall_ms": wall,
-            })
+            entries.append({"spec": path, "spec_sha256": spec.sha256, "claim": claim,
+                            **timed})
     return worst, {"library": f"realcert {__version__}", "entries": entries}, None
 
 
@@ -733,14 +721,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise SpecError("this command does not emit CSV")
             with open(args.csv, "w", encoding="utf-8") as fh:
                 fh.write(csv_text)
-    except SpecError as err:
+    except (ValueError, OSError) as err:  # SpecError is a ValueError
         print(f"realcert: {err}", file=sys.stderr)
         print(canonical_dumps({"error": str(err)}, indent=2))
-        return EXIT_USAGE
-    except (ValueError, OSError) as err:
-        print(f"realcert: {err}", file=sys.stderr)
-        print(canonical_dumps({"error": str(err)}, indent=2))
-        return EXIT_USAGE
+        return EXIT_FAILED
     print(canonical_dumps(payload, indent=2))
     return code
 

@@ -37,8 +37,10 @@ from .rational import (
     ZERO,
     RationalLike,
     as_fraction,
+    ceil_scaled,
     dyadic_ceil,
     dyadic_floor,
+    floor_scaled,
     format_fraction,
     pow2,
 )
@@ -272,14 +274,6 @@ def _e_bracket(bits: int) -> tuple[Fraction, Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def _fx_floor(q: Fraction, w: int) -> int:
-    return (q.numerator << w) // q.denominator
-
-
-def _fx_ceil(q: Fraction, w: int) -> int:
-    return -((-q.numerator << w) // q.denominator)
-
-
 def _fxi_mul(alo: int, ahi: int, blo: int, bhi: int, w: int) -> tuple[int, int]:
     p1 = alo * blo
     p2 = alo * bhi
@@ -336,7 +330,7 @@ def _taylor_sin_fx(rlo: int, rhi: int, w: int, bits: int) -> tuple[int, int]:
 
 def _taylor_sin(rlo: Fraction, rhi: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     w = bits + 32
-    lo, hi = _taylor_sin_fx(_fx_floor(rlo, w), _fx_ceil(rhi, w), w, bits)
+    lo, hi = _taylor_sin_fx(floor_scaled(rlo, w), ceil_scaled(rhi, w), w, bits)
     return (Fraction(lo, 1 << w), Fraction(hi, 1 << w))
 
 
@@ -348,7 +342,7 @@ def _taylor_sin(rlo: Fraction, rhi: Fraction, bits: int) -> tuple[Fraction, Frac
 @lru_cache(maxsize=1 << 10)
 def _e_fx(w: int, eb: int) -> tuple[int, int]:
     e_lo, e_hi = _e_bracket(eb)
-    return (_fx_floor(e_lo, w), _fx_ceil(e_hi, w))
+    return (floor_scaled(e_lo, w), ceil_scaled(e_hi, w))
 
 
 def _fx_pow_pos(lo: int, hi: int, n: int, w: int) -> tuple[int, int]:
@@ -368,8 +362,8 @@ def _fx_pow_pos(lo: int, hi: int, n: int, w: int) -> tuple[int, int]:
 @lru_cache(maxsize=1 << 14)
 def _naive_exp(xlo: Fraction, xhi: Fraction, bits: int) -> tuple[Fraction, Fraction]:
     w = bits + 32
-    a_lo = _fx_floor(xlo, w)
-    a_hi = _fx_ceil(xhi, w)
+    a_lo = floor_scaled(xlo, w)
+    a_hi = ceil_scaled(xhi, w)
     if a_hi - a_lo > 2 << w:
         # absurdly wide input; exp is monotone, recurse on endpoints
         lo = _naive_exp(xlo, xlo, bits)[0]
@@ -380,8 +374,8 @@ def _naive_exp(xlo: Fraction, xhi: Fraction, bits: int) -> tuple[Fraction, Fract
         # widen the grid to absorb the e**n magnitude, keeping the
         # final width at 2**-bits in absolute terms
         w += (3 * n) // 2 + 2
-        a_lo = _fx_floor(xlo, w)
-        a_hi = _fx_ceil(xhi, w)
+        a_lo = floor_scaled(xlo, w)
+        a_hi = ceil_scaled(xhi, w)
     f_lo, f_hi = a_lo - (n << w), a_hi - (n << w)
     # Taylor at 0 on f in ~[-0.6, 1.6]; tail target is 6 guard bits past
     # bits + extra, which is always 26 bits below the grid

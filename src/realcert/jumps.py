@@ -19,7 +19,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .certificates import CERTIFIED, COMPUTED, Certificate, InconclusiveAtBudget
 from .enclosure import Enclosure, exp_enc, sqrt_enc
-from .rational import ONE, ZERO, RationalLike, as_fraction, format_fraction
+from .rational import (ONE, ZERO, RationalLike, as_fraction, ceil_scaled,
+                       floor_scaled, format_fraction)
 
 __all__ = [
     "ConstantTermPresent",
@@ -501,8 +502,8 @@ class JumpPolynomial:
     def basis(self) -> tuple[int, ...]:
         return self.coeffs[0].basis
 
-    def p_form_bound(self, precision: int = 96) -> Enclosure:
-        """Encloses the least uniform bound on the binomial partial sums.
+    def p_form_bound(self, precision: int = 96) -> Fraction:
+        """Uniform upper bound on the binomial partial sums.
 
         The m-th partial sum is sum_{j>=m} C(j,m) G_j(x) y^(j-m) with
         y in [0,1], so sum_{j>=m} C(j,m) sup|G_j| dominates it.
@@ -513,9 +514,7 @@ class JumpPolynomial:
         for m in range(1, k + 1):
             hi = max(hi, sum((comb(j, m) * sups[j - 1] for j in range(m, k + 1)),
                              start=ZERO))
-        half = Fraction(1, 2)
-        _, _, _, slope = _jump_parts(self, half, enum_index(half), 16, precision)
-        return Enclosure(min(slope.mignitude(), hi), hi)
+        return hi
 
     def value_at(self, x: "Enclosure | RationalLike", terms: int = 64,
                  precision: int = 96) -> Enclosure:
@@ -564,14 +563,13 @@ def _clamped_value(q: Fraction, gap: Fraction, terms: int) -> Enclosure:
 
 
 def _jump_parts(g: JumpPolynomial, q: Fraction, i: int, terms: int,
-                precision: int) -> tuple[Fraction, Enclosure, Enclosure, Enclosure]:
-    """Gap size, series value, jump enclosure, and leading partial sum at q_i."""
+                precision: int) -> tuple[Fraction, Enclosure, Enclosure]:
+    """Gap size, jump enclosure, and leading partial sum at q_i."""
     gap = Fraction(1, 1 << i)
     k = g.degree
     coeffs = [poly.evaluate(q, precision) for poly in g.coeffs]
     if k == 1:
-        value = Enclosure(ZERO, ONE - gap)
-        return gap, value, gap * coeffs[0], coeffs[0]
+        return gap, gap * coeffs[0], coeffs[0]
 
     value = _clamped_value(q, gap, terms)
     powers = [Enclosure.point(1)]
@@ -588,7 +586,7 @@ def _jump_parts(g: JumpPolynomial, q: Fraction, i: int, terms: int,
         for j in range(m, k + 1):
             partial = partial + comb(j, m) * coeffs[j - 1] * powers[j - m]
         jump = jump + gap_power * partial
-    return gap, value, jump, slope
+    return gap, jump, slope
 
 
 @dataclass(frozen=True)
@@ -652,7 +650,7 @@ def jump_enclosure(g: JumpPolynomial, q: RationalLike, terms: int = 64,
     """
     q = as_fraction(q)
     i = enum_index(q)
-    _, _, jump, _ = _jump_parts(g, q, i, terms, precision)
+    _, jump, _ = _jump_parts(g, q, i, terms, precision)
     return JumpCertificate(i, q, jump, not jump.contains_zero())
 
 
@@ -670,7 +668,7 @@ class JumpWitness:
 
     def certificate(self) -> Certificate:
         return Certificate(
-            claim="dense-jump-witness",
+            claim="jump-dense-sample",
             verdict=CERTIFIED,
             payload={
                 "index": self.index,
@@ -703,7 +701,7 @@ def jump_search(g: JumpPolynomial, lo: RationalLike, hi: RationalLike,
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("threshold must be positive")
-    bound = g.p_form_bound(precision).hi
+    bound = g.p_form_bound(precision)
     nums, dens = CALKIN_WILF.pairs(index_budget)
     pa, qa = a.numerator, a.denominator
     pb, qb = b.numerator, b.denominator
@@ -714,7 +712,7 @@ def jump_search(g: JumpPolynomial, lo: RationalLike, hi: RationalLike,
             continue
         candidates += 1
         q = Fraction(n, d)
-        gap, _, jump, slope = _jump_parts(g, q, i, terms, precision)
+        gap, jump, slope = _jump_parts(g, q, i, terms, precision)
         if jump.contains_zero():
             continue
         margin_ok = eps * ((1 << i) - 1) > bound
@@ -741,16 +739,14 @@ class VariationBounds:
     lower: Fraction
     upper: Fraction | None
     probes: tuple[dict[str, object], ...]
-    certificate: Certificate
 
-
-def _variation_certificate(lower: Fraction, upper: Fraction | None,
-                           probes: tuple[dict[str, object], ...]) -> Certificate:
-    return Certificate(
-        claim="variation-bounds",
-        verdict=CERTIFIED,
-        payload={"lower": lower, "upper": upper, "probes": list(probes)},
-    )
+    def certificate(self) -> Certificate:
+        return Certificate(
+            claim="variation-bounds",
+            verdict=CERTIFIED,
+            payload={"lower": self.lower, "upper": self.upper,
+                     "probes": list(self.probes)},
+        )
 
 
 def variation_bounds(h: "JumpSeries | ShiftCombination | JumpPolynomial",
@@ -783,8 +779,7 @@ def variation_bounds(h: "JumpSeries | ShiftCombination | JumpPolynomial",
             detail = ({"kind": "wrapped-staircase", "shift": h.shift.k,
                        "wrap_jump": ONE, "probe_indices": indices,
                        "jump_mass": jump_mass},)
-        return VariationBounds(lower, upper, detail,
-                               _variation_certificate(lower, upper, detail))
+        return VariationBounds(lower, upper, detail)
 
     if isinstance(h, ShiftCombination):
         # at each wrap point the matching copy jumps by -beta while every
@@ -793,8 +788,7 @@ def variation_bounds(h: "JumpSeries | ShiftCombination | JumpPolynomial",
                         "jump_magnitude": abs(beta)} for beta, s in h.terms)
         lower = h.coefficient_mass()
         upper = 3 * lower
-        return VariationBounds(lower, upper, detail,
-                               _variation_certificate(lower, upper, detail))
+        return VariationBounds(lower, upper, detail)
 
     if isinstance(h, JumpPolynomial):
         if probes is None:
@@ -811,9 +805,7 @@ def variation_bounds(h: "JumpSeries | ShiftCombination | JumpPolynomial",
             lower += mig
             detail_list.append({"kind": "rational-probe", "index": cert.index,
                                 "point": q, "jump_at_least": mig})
-        probed = tuple(detail_list)
-        return VariationBounds(lower, None, probed,
-                               _variation_certificate(lower, None, probed))
+        return VariationBounds(lower, None, tuple(detail_list))
 
     raise TypeError(f"no variation analysis for {type(h).__name__}")
 
@@ -907,13 +899,8 @@ class ContributionTable:
 
     def scaled(self, bits: int) -> dict[tuple[int, ...], tuple[int, int]]:
         """Entries floor/ceil-rounded onto the 2^-bits integer grid."""
-        out: dict[tuple[int, ...], tuple[int, int]] = {}
-        scale = 1 << bits
-        for vec, enc in self.entries:
-            lo = (enc.lo.numerator * scale) // enc.lo.denominator
-            hi = -((-enc.hi.numerator * scale) // enc.hi.denominator)
-            out[vec] = (lo, hi)
-        return out
+        return {vec: (floor_scaled(enc.lo, bits), ceil_scaled(enc.hi, bits))
+                for vec, enc in self.entries}
 
 
 def jump_contribution_table(point: RationalLike, basis: Sequence[int],

@@ -25,7 +25,6 @@ __all__ = [
     "Extremum",
     "HakeEntry",
     "NonLebesgueWitness",
-    "NonterminationBudget",
     "OscCombination",
     "Oscillator",
     "RestrictionWitness",
@@ -39,10 +38,6 @@ __all__ = [
     "restriction_witness",
     "slope_bound",
 ]
-
-
-class NonterminationBudget(RuntimeError):
-    """Branch-and-bound queue outgrew its limit before reaching tolerance."""
 
 
 class ZeroCombination(ValueError):
@@ -391,7 +386,7 @@ class NonLebesgueWitness:
 
     def certificate(self) -> Certificate:
         return Certificate(
-            claim="derivative-absolute-integral-exceeds-bar",
+            claim="non-lebesgue",
             verdict=CERTIFIED,
             payload={
                 "host": self.host.as_json(),
@@ -448,7 +443,7 @@ class RestrictionWitness:
     def certificate(self) -> Certificate:
         inner = self.base.certificate()
         return Certificate(
-            claim="combination-restriction-not-lebesgue",
+            claim="non-lebesgue",
             verdict=CERTIFIED,
             payload={
                 "support_index": self.index,
@@ -486,13 +481,15 @@ def restriction_witness(c: OscCombination, bar: RationalLike, precision: int = 9
 
 
 def alexiewicz_norm(obj: "OscCombination | Oscillator", tol: RationalLike,
-                    precision: int = 64, queue_limit: int = 100_000) -> Enclosure:
+                    precision: int = 64, queue_limit: int = 100_000,
+                    ) -> "Enclosure | InconclusiveAtBudget":
     """Enclose sup |primitive| to within tol by certified bisection.
 
     Boxes are split widest first; a box dies once its sup bound falls to
     the best certified point value, and the surviving bounds squeeze the
     norm.  The countable zero set never traps the search because point
-    evaluations keep raising the floor near the true peak.
+    evaluations keep raising the floor near the true peak.  More than
+    queue_limit live boxes ends the search inconclusive.
     """
     tol = as_fraction(tol)
     if tol <= 0:
@@ -530,8 +527,9 @@ def alexiewicz_norm(obj: "OscCombination | Oscillator", tol: RationalLike,
             if child > floor:
                 heapq.heappush(heap, (-(b - a), a, b, child))
         if len(heap) > queue_limit:
-            raise NonterminationBudget(
-                f"{len(heap)} boxes alive at tolerance {tol}")
+            return InconclusiveAtBudget(
+                f"{len(heap)} boxes alive at tolerance {tol}",
+                {"tolerance": tol, "queue_limit": queue_limit})
     # every box was dominated by a certified point value
     return Enclosure(floor, floor)
 

@@ -46,13 +46,21 @@ def pow2(bits: int) -> Fraction:
     return Fraction(1, 1 << (-bits))
 
 
+def floor_scaled(q: Fraction, bits: int) -> int:
+    """floor(q * 2**bits), for bits >= 0."""
+    return (q.numerator << bits) // q.denominator
+
+
+def ceil_scaled(q: Fraction, bits: int) -> int:
+    """ceil(q * 2**bits), for bits >= 0."""
+    return -((-q.numerator << bits) // q.denominator)
+
+
 def dyadic_floor(q: Fraction, bits: int) -> Fraction:
     """Largest multiple of 2**-bits that is <= q."""
-    scaled = q * (1 << bits)
-    return Fraction(scaled.numerator // scaled.denominator, 1 << bits)
+    return Fraction(floor_scaled(q, bits), 1 << bits)
 
 
 def dyadic_ceil(q: Fraction, bits: int) -> Fraction:
     """Smallest multiple of 2**-bits that is >= q."""
-    scaled = q * (1 << bits)
-    return Fraction(-((-scaled.numerator) // scaled.denominator), 1 << bits)
+    return Fraction(ceil_scaled(q, bits), 1 << bits)

@@ -22,7 +22,6 @@ from .cantor import (
     CantorApprox,
     CantorSpec,
     InfeasibleMass,
-    NotFoundAtDepth,
     TowerSpec,
     fill_first_hole,
     find_component,
@@ -413,10 +412,9 @@ def unbounded_witness(
     generation's component) until the exact constant value clears the bar.
     """
     bar = as_fraction(bar)
-    budget = {"maxgen": maxgen, "depth": depth}
     got = find_component(s.tower, lo, hi, max_generation=maxgen, depth=depth)
-    if isinstance(got, NotFoundAtDepth):
-        return InconclusiveAtBudget(got.reason, budget)
+    if isinstance(got, InconclusiveAtBudget):
+        return got
     g, comp = got.generation, got.component
     while g <= maxgen:
         v = s.value_at_generation(g)
@@ -424,9 +422,8 @@ def unbounded_witness(
             return UnboundedWitness(g, v, comp)
         g += 1
         comp = fill_first_hole(s.tower, comp, g)
-    return InconclusiveAtBudget(
-        f"no generation <= {maxgen} on the drill path exceeds {bar}", budget
-    )
+    return InconclusiveAtBudget(f"no generation <= {maxgen} on the drill path exceeds {bar}",
+                                {"maxgen": maxgen, "depth": depth})
 
 
 # ---------------------------------------------------------------------------
@@ -700,9 +697,29 @@ class StepFunction:
 
 @dataclass(frozen=True)
 class PerturbationResult:
+    """g within radius/2 of f; every h within radius/7 of g exceeds bound on window."""
+
     g: StepFunction
     window: tuple[Fraction, Fraction]
-    certificate: Certificate
+    distance: Fraction
+    bound: Fraction
+    radius: Fraction
+
+    def certificate(self) -> Certificate:
+        measure = self.window[1] - self.window[0]
+        return Certificate(
+            claim="every-ball-meets-the-unbounded-set",
+            verdict=CERTIFIED,
+            payload={
+                "window": list(self.window),
+                "window_measure": measure,
+                "perturbation_l1_distance": self.distance,
+                "half_radius": self.radius / 2,
+                "violation_threshold": measure * self.bound,
+                "radius_seventh": self.radius / 7,
+                "strict_gap_holds": measure * self.bound > self.radius / 7,
+            },
+        )
 
 
 def comeager_perturbation(
@@ -743,18 +760,4 @@ def comeager_perturbation(
             covered += hi2 - lo2
     dist += 2 * n * (window - covered)
     assert dist <= window * 3 * n == r / 2
-    cert = Certificate(
-        claim="every-ball-meets-the-unbounded-set",
-        verdict=CERTIFIED,
-        payload={
-            "window": [j_lo, j_hi],
-            "window_measure": window,
-            "perturbation_l1_distance": dist,
-            "half_radius": r / 2,
-            "violation_threshold": window * n,
-            "radius_seventh": r / 7,
-            "strict_gap_holds": window * n > r / 7,
-        },
-        budget={},
-    )
-    return PerturbationResult(g, (j_lo, j_hi), cert)
+    return PerturbationResult(g, (j_lo, j_hi), dist, n, r)

@@ -12,6 +12,7 @@ import random
 import time
 from fractions import Fraction
 
+from realcert.certificates import EXIT_INCONCLUSIVE, InconclusiveAtBudget
 from realcert.checklist import (
     EXIT_OK, _check_alexiewicz, _check_basis_inequality, _check_density,
     _check_dominance, _check_faithfulness, _check_finite_difference,
@@ -103,6 +104,14 @@ def test_criterion_12_alexiewicz_norm_scaling():
     code, payload = _check_alexiewicz(range(2, 6), _draw_combinations(random.Random(12), 10))
     assert code == EXIT_OK, payload
     assert time.monotonic() - start < 60.0
+
+
+def test_criterion_12_spent_budget_is_inconclusive(monkeypatch):
+    spent = InconclusiveAtBudget("7 boxes alive", {"tolerance": Fraction(1, 1000)})
+    monkeypatch.setattr("realcert.checklist.alexiewicz_norm", lambda *args: spent)
+    code, payload = _check_alexiewicz((2,), [])
+    assert code == EXIT_INCONCLUSIVE
+    assert payload == spent.as_json()
 
 
 def test_criterion_13_basis_inequality_random_vectors():

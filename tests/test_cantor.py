@@ -18,12 +18,12 @@ from realcert.cantor import (
     ComponentWitness,
     DepthTooSmall,
     InfeasibleMass,
-    NotFoundAtDepth,
     TowerSpec,
     component_at_generation,
     find_component,
     tower_generation,
 )
+from realcert.certificates import InconclusiveAtBudget
 from realcert.rational import pow2
 
 
@@ -205,8 +205,9 @@ def test_find_component_witness_is_contained(lo, width):
 def test_find_component_budget_exhaustion_is_inconclusive():
     got = find_component(TowerSpec("dyadic"), Fraction(1, 3), Fraction(1, 3) + Fraction(1, 1000),
                          max_generation=1, depth=2)
-    assert isinstance(got, NotFoundAtDepth)
-    assert got.as_json()["verdict"] == "not-found-at-depth"
+    assert isinstance(got, InconclusiveAtBudget)
+    assert got.as_json()["verdict"] == "inconclusive-at-budget"
+    assert got.budget == {"maxgen": 1, "depth": 2}
 
 
 def test_component_at_generation_deepens():
@@ -222,7 +223,7 @@ def test_component_at_generation_deepens():
     # asking below the drill's first find is inconclusive, not a refutation
     if first.generation > 1:
         low = component_at_generation(spec, Fraction(2, 5), Fraction(3, 5), first.generation - 1, 12)
-        assert isinstance(low, NotFoundAtDepth)
+        assert isinstance(low, InconclusiveAtBudget)
 
 
 def test_find_component_rejects_bad_target():

@@ -284,6 +284,29 @@ def test_spec_file_budget_is_checked(capsys, tmp_path, budget, message):
     assert code == 1 and message in out["error"]
 
 
+@pytest.mark.parametrize("spec,argv,message", [
+    (dict(JUMP, body={"degree": 1, "basis": [1], "G": [{"terms": [{"c": 0.1, "exp": [1]}]}]}),
+     ("fn", "eval", "--at", "1/3"), "0.1 is a float"),
+    (dict(OSC, body={"alphas": {"1": 0.1}}), ("fn", "eval", "--at", "3/10"),
+     "0.1 is a float"),
+    (dict(OSC, body={"alphas": {"1": float("inf")}}), ("fn", "eval", "--at", "3/10"),
+     "Infinity is a float"),
+    (dict(OSC, budget={"tolerance": 0.001}), ("norm", "alexiewicz"), "0.001 is a float"),
+    (dict(OSC, budget={"tolerance": True}), ("norm", "alexiewicz"), "bad tolerance True"),
+    ([["0", "1/2", 0.5]], ("certify", "perturbation", "--bound", "1", "--radius", "1/2",
+                           "--interval", "0", "1", "--pieces"), "0.5 is a float"),
+], ids=["jump-body-float", "osc-body-float", "osc-body-infinity", "tolerance-float",
+        "tolerance-bool", "pieces-float"])
+def test_inexact_spec_values_are_rejected(capsys, tmp_path, spec, argv, message):
+    path = tmp_path / "inexact.json"
+    path.write_text(json.dumps(spec))
+    where = (str(path),) if argv[-1] == "--pieces" else ("--spec", str(path))
+    code = main([*argv, *where])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    assert message in json.loads(captured.out)["error"]
+
+
 def test_report_tolerance_below_range_is_rejected(specs, capsys):
     code, out = run(capsys, "report", specs["osc"], "--tolerance", "1/10000000")
     assert code == 1 and "budget tolerance" in out["error"]

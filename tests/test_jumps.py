@@ -337,6 +337,12 @@ def test_jump_search_direct_hit():
     assert got.via == "direct" and got.analytic_margin is None
 
 
+def test_jump_witness_claim_is_the_cli_claim():
+    got = jump_search(staircase_polynomial(), Fraction(2, 5), Fraction(3, 5),
+                      Fraction(1, 1000), index_budget=100)
+    assert got.certificate().claim == "jump-dense-sample"
+
+
 def test_jump_search_threshold_route():
     # narrow window around 2/5 (index 6): margin eps*(2^6-1) > 1 at eps = 1/30
     lo = Fraction(2, 5) - Fraction(1, 1000)
@@ -370,7 +376,7 @@ def test_variation_plain_staircase():
     got = variation_bounds(JumpSeries(), terms=64)
     assert got.upper == 1
     assert got.lower == 1 - Fraction(1, 2**64)
-    assert got.certificate.ok
+    assert got.certificate().ok
 
 
 def test_variation_wrapped_copy():

@@ -18,7 +18,6 @@ from realcert.enclosure import Enclosure
 from realcert.oscillator import (
     Extremum,
     NonLebesgueWitness,
-    NonterminationBudget,
     OscCombination,
     Oscillator,
     RestrictionWitness,
@@ -274,6 +273,12 @@ def test_restriction_witness_selection():
         restriction_witness(OscCombination(), 1)
 
 
+def test_witness_claims_are_the_cli_claim():
+    single = nonlebesgue_witness(unit(), 4)
+    combined = restriction_witness(OscCombination.of({1: 1}), 4)
+    assert single.certificate().claim == combined.certificate().claim == "non-lebesgue"
+
+
 # -- combinations -----------------------------------------------------------
 
 
@@ -334,8 +339,9 @@ def test_alexiewicz_zero_combination():
 
 
 def test_alexiewicz_queue_budget():
-    with pytest.raises(NonterminationBudget):
-        alexiewicz_norm(unit(), Fraction(1, 10**9), queue_limit=1)
+    got = alexiewicz_norm(unit(), Fraction(1, 10**9), queue_limit=1)
+    assert isinstance(got, InconclusiveAtBudget)
+    assert got.budget == {"tolerance": Fraction(1, 10**9), "queue_limit": 1}
 
 
 def test_alexiewicz_rejects_bad_tolerance():

@@ -329,14 +329,14 @@ def test_perturbation_exact_payload():
                                 Fraction(3, 5))
     assert got.window == (Fraction(0), Fraction(1, 10))
     assert got.g.value_at(Fraction(1, 20)) == 2
-    p = got.certificate.payload
+    p = got.certificate().payload
     assert p["window_measure"] == Fraction(1, 10)
     assert p["perturbation_l1_distance"] == Fraction(1, 5)
     assert p["half_radius"] == Fraction(3, 10)
     assert p["violation_threshold"] == Fraction(1, 10)
     assert p["radius_seventh"] == Fraction(3, 35)
     assert p["strict_gap_holds"] is True
-    assert got.certificate.ok
+    assert got.certificate().ok
 
 
 def test_perturbation_with_nonzero_base():
@@ -344,8 +344,8 @@ def test_perturbation_with_nonzero_base():
     got = comeager_perturbation(f, Fraction(2), (Fraction(0), Fraction(1)), Fraction(1, 2))
     j_lo, j_hi = got.window
     # on the window the distance is |2N - f| = |4 - (-2)| = 6
-    assert got.certificate.payload["perturbation_l1_distance"] == 6 * (j_hi - j_lo)
-    assert got.certificate.payload["perturbation_l1_distance"] <= Fraction(1, 4)
+    assert got.certificate().payload["perturbation_l1_distance"] == 6 * (j_hi - j_lo)
+    assert got.certificate().payload["perturbation_l1_distance"] <= Fraction(1, 4)
 
 
 def test_perturbation_window_must_fit():
