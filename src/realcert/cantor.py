@@ -232,12 +232,19 @@ class TowerSpec:
             raise InfeasibleMass(f"nonpositive mass {m} at generation {j}")
         return m
 
+    @cached_property
+    def _residuals(self) -> list[Fraction]:
+        # S_1, S_2, ... as far as any caller has asked; residual() extends it
+        # in place.  Not a field, so equality and hashing ignore it.
+        return [ONE]
+
     def residual(self, j: int) -> Fraction:
         """S_j: span length still unassigned before generation j (S_1 = 1)."""
-        s = ONE
-        for i in range(1, j):
-            s -= self.mass(i)
-        return s
+        prefix = self._residuals
+        while len(prefix) < j:
+            # mass(i) in order, so a bad explicit mass raises at the same i
+            prefix.append(prefix[-1] - self.mass(len(prefix)))
+        return prefix[j - 1] if j >= 1 else ONE
 
     def rho(self, j: int) -> Fraction:
         """Mass fraction each generation-j component keeps of its span."""

@@ -11,6 +11,7 @@ reproducible byte for byte apart from wall-clock fields.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -40,8 +41,9 @@ _COVERED_HI = Fraction(16, 17)
 _WINDOW = Fraction(1, 50)
 _INDEX_BUDGET = 10**5
 
-# monomials of degree 1..3 in two generators
+# monomials of degree 1..3 in two generators, with coefficients in -2..2
 _MONOMIALS = [(i, j) for i in range(4) for j in range(4) if 1 <= i + j <= 3]
+_COEFFS = (-2, -1, 0, 1, 2)
 
 # (betas, thetas, expected index): fails_before is the exact comparison
 # that fails one index earlier, which makes j0 minimal
@@ -207,35 +209,43 @@ def _draw_monomial_vectors(rng: random.Random, count: int) -> list[dict[tuple[in
     return vectors
 
 
+def _half_sums(cells: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Interval sums (lo, hi) over every coefficient choice in _COEFFS."""
+    sums = [(0, 0)]
+    for c_lo, c_hi in cells:
+        sums = [(lo + (k * c_lo if k >= 0 else k * c_hi),
+                 hi + (k * c_hi if k >= 0 else k * c_lo))
+                for lo, hi in sums for k in _COEFFS]
+    return sums
+
+
+def _sign_counts(cells: Sequence[tuple[int, int]]) -> dict[str, int]:
+    """Count the nonzero coefficient vectors whose interval sum excludes 0.
+
+    Each cell is an integer interval (lo, hi) with lo <= hi, and a vector
+    of coefficients from _COEFFS sums the scaled cells.  Meet in the
+    middle: for each sum L over the first half of the cells, the right
+    half sums R with R.hi < -L.hi or R.lo > -L.lo are certified, and lo <=
+    hi keeps the two tests disjoint.  The zero vector sums to [0, 0],
+    which neither test counts.
+    """
+    half = len(cells) // 2
+    right = _half_sums(cells[half:])
+    his = sorted(hi for _, hi in right)
+    los = sorted(lo for lo, _ in right)
+    certified = sum(bisect_left(his, -hi) + len(los) - bisect_right(los, -lo)
+                    for lo, hi in _half_sums(cells[:half]))
+    nonzero = len(_COEFFS) ** len(cells) - 1
+    return {"nonzero": nonzero, "certified": certified,
+            "ambiguous": nonzero - certified}
+
+
 def _check_faithfulness(spot_vectors: Sequence[dict[tuple[int, int], int]]) -> tuple[int, dict]:
     """Every nonzero vector in {-2..2}^9 gives a certified nonzero jump at 1/2."""
     basis = (2, 3)
     table = jump_contribution_table(Fraction(1, 2), basis, 3)
     scaled = table.scaled(192)
-    cells = [scaled[m] for m in _MONOMIALS]
-    counts = {"nonzero": 0, "certified": 0, "ambiguous": 0}
-
-    # interval partial sums over every coefficient vector; a leaf is
-    # certified when the summed jump enclosure excludes zero
-    def sweep(pos: int, lo: int, hi: int, any_nonzero: bool) -> None:
-        if pos == len(cells):
-            if not any_nonzero:
-                return
-            counts["nonzero"] += 1
-            if hi < 0 or lo > 0:
-                counts["certified"] += 1
-            else:
-                counts["ambiguous"] += 1
-            return
-        c_lo, c_hi = cells[pos]
-        for coeff in (-2, -1, 0, 1, 2):
-            if coeff >= 0:
-                sweep(pos + 1, lo + coeff * c_lo, hi + coeff * c_hi,
-                      any_nonzero or coeff != 0)
-            else:
-                sweep(pos + 1, lo + coeff * c_hi, hi + coeff * c_lo, True)
-
-    sweep(0, 0, 0, False)
+    counts = _sign_counts([scaled[m] for m in _MONOMIALS])
     ok = (counts["nonzero"] == 5**9 - 1
           and counts["ambiguous"] == 0
           and counts["certified"] == counts["nonzero"])

@@ -126,6 +126,10 @@ class Enclosure:
 
     def __mul__(self, other: "Enclosure | RationalLike") -> "Enclosure":
         o = _coerce(other)
+        if o.lo == o.hi:
+            # scaling by a point: two products, ordered by its sign
+            a, b = self.lo * o.lo, self.hi * o.lo
+            return Enclosure(a, b) if o.lo >= 0 else Enclosure(b, a)
         p = (self.lo * o.lo, self.lo * o.hi, self.hi * o.lo, self.hi * o.hi)
         return Enclosure(min(p), max(p))
 

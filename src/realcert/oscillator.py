@@ -15,6 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .certificates import CERTIFIED, Certificate, InconclusiveAtBudget
@@ -74,6 +75,9 @@ def _derivative_half(s_lo: Fraction, s_hi: Fraction, precision: int) -> Enclosur
     return swing - pull
 
 
+# every support's chart maps its dyadic boxes onto the same unit-chart
+# boxes, so the branch and bound asks for each one many times over
+@lru_cache(maxsize=1 << 11)
 def _unit_branch(t_lo: Fraction, t_hi: Fraction, precision: int,
                  primitive: bool) -> Enclosure:
     """Hull of the two half-branches over [t_lo, t_hi] on the unit chart."""
@@ -508,16 +512,30 @@ def alexiewicz_norm(obj: "OscCombination | Oscillator", tol: RationalLike,
         return obj.primitive_at(x, precision + 32).mignitude()
 
     floor = ZERO
+    # boxes widest first, and the same live boxes by bound, largest first;
+    # a box popped from heap leaves live, and its by_bound entry goes
+    # stale and drops off the top when it surfaces
     heap: list[tuple[Fraction, Fraction, Fraction, Fraction]] = []
+    by_bound: list[tuple[Fraction, Fraction, Fraction]] = []
+    live: set[tuple[Fraction, Fraction]] = set()
+
+    def push(lo: Fraction, hi: Fraction, bound: Fraction) -> None:
+        heapq.heappush(heap, (-(hi - lo), lo, hi, bound))
+        heapq.heappush(by_bound, (-bound, lo, hi))
+        live.add((lo, hi))
+
     for lo, hi in spans:
         floor = max(floor, point_floor((lo + hi) / 2))
-        heapq.heappush(heap, (-(hi - lo), lo, hi, box_bound(lo, hi)))
+        push(lo, hi, box_bound(lo, hi))
     while heap:
+        while (by_bound[0][1], by_bound[0][2]) not in live:
+            heapq.heappop(by_bound)
         # floor may have risen past a stale box bound since its push
-        ceiling = max(max(item[3] for item in heap), floor)
+        ceiling = max(-by_bound[0][0], floor)
         if ceiling - floor <= tol:
             return Enclosure(floor, ceiling)
         _, lo, hi, bound = heapq.heappop(heap)
+        live.discard((lo, hi))
         if bound <= floor:
             continue
         mid = (lo + hi) / 2
@@ -525,7 +543,7 @@ def alexiewicz_norm(obj: "OscCombination | Oscillator", tol: RationalLike,
             floor = max(floor, point_floor((a + b) / 2))
             child = box_bound(a, b)
             if child > floor:
-                heapq.heappush(heap, (-(b - a), a, b, child))
+                push(a, b, child)
         if len(heap) > queue_limit:
             return InconclusiveAtBudget(
                 f"{len(heap)} boxes alive at tolerance {tol}",

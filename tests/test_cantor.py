@@ -140,6 +140,39 @@ def test_tower_masses_and_residuals():
         TowerSpec("nope")
 
 
+@pytest.mark.parametrize("preset", ["dyadic", "factorial"])
+def test_residual_prefix_matches_direct_sum(preset):
+    t = TowerSpec(preset)
+    # the deepest request first, then every shorter one from the prefix
+    expected = [1 - sum((t.mass(i) for i in range(1, j)), Fraction(0))
+                for j in range(1, 301)]
+    assert t.residual(300) == expected[-1]
+    assert [t.residual(j) for j in range(1, 301)] == expected
+
+
+@pytest.mark.parametrize("masses,bad_at", [
+    ((Fraction(1, 4), Fraction(1, 4), Fraction(0), Fraction(1, 8)), 3),
+    ((Fraction(1, 4), Fraction(1, 4)), 3),
+])
+def test_explicit_residual_fails_at_the_same_generation(masses, bad_at):
+    t = TowerSpec("explicit", masses)
+    for _ in range(2):
+        with pytest.raises(InfeasibleMass, match=f"generation {bad_at}"):
+            t.residual(bad_at + 2)
+    # the prefix up to the bad mass survives the failures
+    assert t.residual(bad_at) == Fraction(1, 2)
+
+
+def test_grown_tower_spec_keeps_equality_and_hash():
+    grown, fresh = TowerSpec("dyadic"), TowerSpec("dyadic")
+    grown.residual(64)
+    assert grown == fresh and hash(grown) == hash(fresh)
+    e1 = TowerSpec("explicit", (Fraction(1, 3), Fraction(1, 3)))
+    e2 = TowerSpec("explicit", (Fraction(1, 3), Fraction(1, 3)))
+    e1.residual(3)
+    assert e1 == e2 and hash(e1) == hash(e2)
+
+
 def test_tower_spec_json_round_trip():
     for t in (TowerSpec("dyadic"), TowerSpec("factorial"),
               TowerSpec("explicit", (Fraction(1, 4), Fraction(1, 8)))):

@@ -49,6 +49,8 @@ MATRIX = [
     # norm
     (("norm", "l1", "--spec", T), 0,
      "10b4f554cdf5ec0fd4905c7f10f8b856b205cf80d4e68b3d89f9a1298eb21901"),
+    (("norm", "l1", "--spec", T, "--budget", "terms=200"), 0,
+     "4b8ee7215b9285c169163008d31c4611a722392273fa19fbca97281613f16e3e"),
     (("norm", "bv", "--spec", J), 0,
      "c8e547931081d6ac1ca6fccec01bcd05bd2803fee1598b90f79d7c496abf1ac0"),
     (("norm", "alexiewicz", "--spec", O), 0,

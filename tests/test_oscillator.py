@@ -7,6 +7,7 @@ its own argument-reduction error near exact-zero phases is about 2^-175,
 hence the slack constant.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from realcert.certificates import InconclusiveAtBudget
+from realcert.checklist import _draw_combinations
 from realcert.enclosure import Enclosure
 from realcert.oscillator import (
     Extremum,
@@ -23,6 +25,7 @@ from realcert.oscillator import (
     RestrictionWitness,
     UnboundedSpan,
     ZeroCombination,
+    _unit_branch,
     alexiewicz_norm,
     hake_csv,
     hake_table,
@@ -342,6 +345,24 @@ def test_alexiewicz_queue_budget():
     got = alexiewicz_norm(unit(), Fraction(1, 10**9), queue_limit=1)
     assert isinstance(got, InconclusiveAtBudget)
     assert got.budget == {"tolerance": Fraction(1, 10**9), "queue_limit": 1}
+
+
+def test_alexiewicz_same_on_cold_and_warm_branch_memo():
+    # the bundled report's inputs, plus one mixed-sign combination
+    tol = Fraction(1, 1000)
+    combos = [{1: 1}, {2: 1}, {3: 1},
+              *_draw_combinations(random.Random(97), 3),
+              {1: Fraction(-5, 2), 2: 3, 4: Fraction(-1, 3)}]
+    cold = []
+    for coeffs in combos:
+        _unit_branch.cache_clear()
+        cold.append(alexiewicz_norm(OscCombination.of(coeffs), tol))
+    warm = [alexiewicz_norm(OscCombination.of(c), tol) for c in reversed(combos)]
+    assert _unit_branch.cache_info().hits > 0
+    assert cold == warm[::-1]
+    # a warm memo does not let the search outrun its queue budget
+    tight = alexiewicz_norm(OscCombination.of(combos[-1]), Fraction(1, 10**9), queue_limit=1)
+    assert isinstance(tight, InconclusiveAtBudget)
 
 
 def test_alexiewicz_rejects_bad_tolerance():
