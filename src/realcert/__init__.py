@@ -15,7 +15,6 @@ from .cantor import (
     ComponentWitness,
     TowerApprox,
     TowerSpec,
-    component_at_generation,
     find_component,
     tower_generation,
 )
@@ -44,7 +43,6 @@ from .jumps import (
     JumpSeries,
     ShiftCombination,
     SqrtShift,
-    densify,
     enum_index,
     enum_rational,
     eval_jump_series,
@@ -53,7 +51,6 @@ from .jumps import (
     jump_enclosure,
     jump_search,
     one_sided_limits,
-    sqrt_prime_basis,
     staircase_polynomial,
     variation_bounds,
 )
@@ -62,7 +59,6 @@ from .oscillator import (
     OscCombination,
     Oscillator,
     alexiewicz_norm,
-    hake_csv,
     hake_table,
     kurzweil_integral,
     nonlebesgue_witness,
@@ -79,14 +75,13 @@ from .stepseries import (
     basis_inequality_check,
     comeager_perturbation,
     disjoint_power_family,
-    distinct_products_check,
     dominance_index,
     eval_series,
     l1_norm,
     unbounded_witness,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "CERTIFIED",
@@ -120,11 +115,8 @@ __all__ = [
     "basis_inequality_check",
     "canonical_dumps",
     "comeager_perturbation",
-    "component_at_generation",
     "cos_pi",
-    "densify",
     "disjoint_power_family",
-    "distinct_products_check",
     "dominance_index",
     "enum_index",
     "enum_rational",
@@ -134,7 +126,6 @@ __all__ = [
     "expand_generator_polynomial",
     "find_component",
     "format_fraction",
-    "hake_csv",
     "hake_table",
     "jsonable",
     "jump_contribution_table",
@@ -150,7 +141,6 @@ __all__ = [
     "sin_pi",
     "slope_bound",
     "sqrt_enc",
-    "sqrt_prime_basis",
     "staircase_polynomial",
     "tower_generation",
     "unbounded_witness",

@@ -35,7 +35,6 @@ __all__ = [
     "PointWalk",
     "TowerApprox",
     "TowerSpec",
-    "component_at_generation",
     "find_component",
     "tower_generation",
 ]
@@ -166,16 +165,15 @@ class CantorApprox:
     def holes(self) -> tuple[tuple[int, Intervals], ...]:
         return tuple((n, self.holes_at(n)) for n in range(1, self.depth + 1))
 
-    def walk_point(self, x: RationalLike, max_level: int | None = None) -> PointWalk:
+    def walk_point(self, x: RationalLike) -> PointWalk:
         x = as_fraction(x)
         a, b = self.spec.a, self.spec.b
         if x < a or x > b:
             return PointWalk("outside", 0, a, b)
         if x == a or x == b:
             return PointWalk("edge", 0, a, b)
-        limit = self.depth if max_level is None else min(max_level, self.depth)
         p = a
-        for n in range(1, limit + 1):
+        for n in range(1, self.depth + 1):
             g1 = p + self.spec.kept_len(n)
             g2 = g1 + self.spec.hole_len(n)
             if x == g1 or x == g2:
@@ -184,7 +182,7 @@ class CantorApprox:
                 return PointWalk("hole", n, g1, g2)
             if x > g2:
                 p = g2
-        return PointWalk("kept", limit, p, p + self.spec.kept_len(limit))
+        return PointWalk("kept", self.depth, p, p + self.spec.kept_len(self.depth))
 
     def as_json(self) -> dict:
         out = self.spec.as_json()
@@ -209,6 +207,9 @@ class TowerSpec:
 
     preset: str = "dyadic"
     masses: tuple[Fraction, ...] | None = None
+    # validate() has seen rho(1.._feasible) inside (0, 1).  No annotation,
+    # so it is not a field: equality and hashing ignore it.
+    _feasible = 0
 
     def __post_init__(self):
         if self.preset not in ("dyadic", "factorial", "explicit"):
@@ -253,6 +254,16 @@ class TowerSpec:
             raise InfeasibleMass(f"generation {j} needs fraction {r} of its holes")
         return r
 
+    def validate(self, j: int) -> None:
+        """Raise InfeasibleMass unless generations 1..j all fit.
+
+        Each rho(i) runs once per spec.  A generation that fails is never
+        counted, so every later call raises the same error again.
+        """
+        for i in range(self._feasible + 1, j + 1):
+            self.rho(i)
+            object.__setattr__(self, "_feasible", i)
+
     def as_json(self) -> dict:
         if self.preset == "explicit":
             return {"masses": [format_fraction(m) for m in self.masses]}
@@ -284,7 +295,7 @@ def fill_first_hole(spec: TowerSpec, comp: CantorApprox, generation: int) -> Can
 class TowerApprox:
     """One generation of a tower at a fixed component depth.
 
-    components materializes the full inventory and is only usable when
+    iter_components walks the full inventory and is only usable when
     component_count is small; everything else (measure enclosure, search,
     point walks) works at any depth.
     """
@@ -314,10 +325,6 @@ class TowerApprox:
         root = CantorApprox(CantorSpec(ZERO, ONE, self.spec.mass(1)), self.depth)
         yield from expand(root, 1)
 
-    @cached_property
-    def components(self) -> tuple[CantorApprox, ...]:
-        return tuple(self.iter_components())
-
     def as_json(self) -> dict:
         return {
             "tower": self.spec.as_json(),
@@ -340,8 +347,7 @@ def tower_generation(spec: TowerSpec, j: int, d: int) -> TowerApprox:
         raise ValueError(f"generation {j} < 1")
     if d < 1:
         raise DepthTooSmall(f"depth {d} < 1")
-    for i in range(1, j + 1):
-        spec.rho(i)  # InfeasibleMass surfaces here
+    spec.validate(j)  # InfeasibleMass surfaces here
     mu = spec.mass(j)
     upper = mu + (spec.residual(j) - mu) * pow2(-d)
     if j == 1:
@@ -434,30 +440,3 @@ def find_component(
             return InconclusiveAtBudget("depth budget exhausted", budget)
     return InconclusiveAtBudget("search budget exhausted", budget)
 
-
-def component_at_generation(
-    spec: TowerSpec,
-    lo: RationalLike,
-    hi: RationalLike,
-    generation: int,
-    depth: int,
-) -> CantorApprox | InconclusiveAtBudget:
-    """A generation-g component inside [lo, hi], deepening through level-1 holes.
-
-    After the drill finds its first contained component (generation g1),
-    each level-1 hole descent raises the generation by one while staying
-    inside the span, so any generation >= g1 is reachable.  Requests below
-    g1 come back InconclusiveAtBudget (a different path might contain
-    one).
-    """
-    got = find_component(spec, lo, hi, max_generation=generation, depth=depth)
-    if isinstance(got, InconclusiveAtBudget):
-        return got
-    g, comp = got.generation, got.component
-    if g > generation:
-        return InconclusiveAtBudget(f"first contained component has generation {g}",
-                                    {"maxgen": generation, "depth": depth})
-    while g < generation:
-        g += 1
-        comp = fill_first_hole(spec, comp, g)
-    return comp

@@ -89,10 +89,6 @@ class Certificate:
     payload: dict
     budget: dict = field(default_factory=dict)
 
-    @property
-    def ok(self) -> bool:
-        return self.verdict in (CERTIFIED, COMPUTED)
-
     def as_json(self) -> dict:
         return {
             "claim": self.claim,

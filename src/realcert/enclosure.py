@@ -156,18 +156,6 @@ class Enclosure:
         m = self.mag()
         return Enclosure(ZERO, m * m)
 
-    def intpow(self, n: int) -> "Enclosure":
-        if n < 0:
-            return Enclosure.point(1) / self.intpow(-n)
-        result = Enclosure.point(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base.square() if n > 1 else base
-            n >>= 1
-        return result
-
     # -- lattice ------------------------------------------------------
 
     def intersect(self, other: "Enclosure") -> "Enclosure":

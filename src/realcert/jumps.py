@@ -35,9 +35,7 @@ __all__ = [
     "ShiftCombination",
     "SqrtShift",
     "VariationBounds",
-    "ZeroInput",
     "ZeroPolynomial",
-    "densify",
     "enum_index",
     "enum_rational",
     "eval_jump_series",
@@ -46,7 +44,6 @@ __all__ = [
     "jump_enclosure",
     "jump_search",
     "one_sided_limits",
-    "sqrt_prime_basis",
     "variation_bounds",
 ]
 
@@ -61,10 +58,6 @@ class ConstantTermPresent(ValueError):
 
 class ZeroPolynomial(ValueError):
     """Every step-power coefficient vanished after merging."""
-
-
-class ZeroInput(ValueError):
-    """A nonzero analytic factor is required."""
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +318,6 @@ def _squarefree(d: int) -> bool:
     return True
 
 
-def sqrt_prime_basis(count: int) -> tuple[int, ...]:
-    """First `count` primes, for growth rates sqrt(2), sqrt(3), sqrt(5), ..."""
-    primes: list[int] = []
-    n = 2
-    while len(primes) < count:
-        if all(n % p for p in primes):
-            primes.append(n)
-        n += 1
-    return tuple(primes)
-
-
 def _validate_basis(basis: Sequence[int]) -> tuple[int, ...]:
     out = tuple(int(d) for d in basis)
     if len(set(out)) != len(out):
@@ -383,45 +365,11 @@ class ExpPoly:
         width = len(tuple(basis))
         return ExpPoly(tuple(basis), ((as_fraction(value), (0,) * width),))
 
-    @staticmethod
-    def generator(basis: Sequence[int], slot: int,
-                  power: int = 1, coeff: RationalLike = 1) -> "ExpPoly":
-        """coeff * exp(power * sqrt(basis[slot]) * x)."""
-        width = len(tuple(basis))
-        vec = tuple(power if a == slot else 0 for a in range(width))
-        return ExpPoly(tuple(basis), ((as_fraction(coeff), vec),))
-
-    # -- algebra ------------------------------------------------------
+    # -- analysis -----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other: "ExpPoly") -> "ExpPoly":
-        if other.basis != self.basis:
-            raise ValueError("basis mismatch")
-        return ExpPoly(self.basis, self.terms + other.terms)
-
-    def __neg__(self) -> "ExpPoly":
-        return ExpPoly(self.basis, tuple((-c, v) for c, v in self.terms))
-
-    def __sub__(self, other: "ExpPoly") -> "ExpPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "ExpPoly") -> "ExpPoly":
-        if other.basis != self.basis:
-            raise ValueError("basis mismatch")
-        prods = []
-        for c1, v1 in self.terms:
-            for c2, v2 in other.terms:
-                prods.append((c1 * c2, tuple(a + b for a, b in zip(v1, v2))))
-        return ExpPoly(self.basis, tuple(prods))
-
-    def scale(self, factor: RationalLike) -> "ExpPoly":
-        f = as_fraction(factor)
-        return ExpPoly(self.basis, tuple((c * f, v) for c, v in self.terms))
-
-    # -- analysis -----------------------------------------------------
 
     def _rate(self, vec: tuple[int, ...], precision: int) -> Enclosure:
         total = Enclosure.point(0)
@@ -750,24 +698,19 @@ class VariationBounds:
 
 
 def variation_bounds(h: "JumpSeries | ShiftCombination | JumpPolynomial",
-                     probes: "int | Iterable[RationalLike] | None" = None,
                      terms: int = 64, precision: int = 96) -> VariationBounds:
     """Certified variation bounds from summed jump magnitudes.
 
-    Jumps at distinct points always undercount the total variation, so the
-    lower bound is sound whatever interference the probes miss.  Upper
-    bounds are only reported where monotone structure gives them: 1 for
-    the plain staircase, 3 per wrapped copy (counting its starting value),
-    and three times the coefficient mass for shift combinations.  For a
+    The probes are the enumeration indices 1..terms.  Jumps at distinct
+    points always undercount the total variation, so the lower bound is
+    sound whatever interference the probes miss.  Upper bounds are only
+    reported where monotone structure gives them: 1 for the plain
+    staircase, 3 per wrapped copy (counting its starting value), and
+    three times the coefficient mass for shift combinations.  For a
     staircase polynomial the upper side is left open.
     """
     if isinstance(h, JumpSeries):
-        if probes is None:
-            indices = list(range(1, terms + 1))
-        elif isinstance(probes, int):
-            indices = list(range(1, probes + 1))
-        else:
-            indices = sorted({enum_index(q) for q in probes})
+        indices = list(range(1, terms + 1))
         jump_mass = sum((Fraction(1, 1 << i) for i in indices), start=ZERO)
         if h.shift is None:
             lower, upper = jump_mass, ONE
@@ -791,15 +734,9 @@ def variation_bounds(h: "JumpSeries | ShiftCombination | JumpPolynomial",
         return VariationBounds(lower, upper, detail)
 
     if isinstance(h, JumpPolynomial):
-        if probes is None:
-            points: list[Fraction] = [enum_rational(i) for i in range(1, terms + 1)]
-        elif isinstance(probes, int):
-            points = [enum_rational(i) for i in range(1, probes + 1)]
-        else:
-            points = sorted({as_fraction(q) for q in probes})
         lower = ZERO
         detail_list: list[dict[str, object]] = []
-        for q in points:
+        for q in map(enum_rational, range(1, terms + 1)):
             cert = jump_enclosure(h, q, terms, precision)
             mig = cert.value.mignitude()
             lower += mig
@@ -852,17 +789,6 @@ def expand_generator_polynomial(
     coeffs = tuple(ExpPoly(basis, tuple(by_degree.get(j, ())))
                    for j in range(1, top + 1))
     return JumpPolynomial(coeffs)
-
-
-def densify(factor: ExpPoly) -> JumpPolynomial:
-    """(staircase + 1) * factor, as a jump polynomial plus continuous part.
-
-    The continuous addend never moves a jump: the difference across any
-    enumerated rational is exactly factor there times the 2^-index gap.
-    """
-    if factor.is_zero:
-        raise ZeroInput("continuous factor is identically zero")
-    return JumpPolynomial((factor,), continuous=factor)
 
 
 # ---------------------------------------------------------------------------

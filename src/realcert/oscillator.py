@@ -31,7 +31,6 @@ __all__ = [
     "RestrictionWitness",
     "ZeroCombination",
     "alexiewicz_norm",
-    "hake_csv",
     "hake_table",
     "kurzweil_integral",
     "nonlebesgue_witness",
@@ -336,16 +335,6 @@ def hake_table(obj: "Oscillator | OscCombination",
     return tuple(rows)
 
 
-def hake_csv(rows: Iterable[HakeEntry]) -> str:
-    out = ["epsilon_lo,epsilon_hi,integral_lo,integral_hi"]
-    for row in rows:
-        out.append(",".join([
-            format_fraction(row.epsilon.lo), format_fraction(row.epsilon.hi),
-            format_fraction(row.integral.lo), format_fraction(row.integral.hi),
-        ]))
-    return "\n".join(out) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Non-Lebesgue witnesses
 # ---------------------------------------------------------------------------
@@ -381,12 +370,6 @@ class NonLebesgueWitness:
             term = _peak_gap(k)
             running += term
             yield k, term, running
-
-    def csv(self) -> str:
-        out = ["k,term,cumulative"]
-        for k, term, running in self.rows():
-            out.append(f"{k},{format_fraction(term)},{format_fraction(running)}")
-        return "\n".join(out) + "\n"
 
     def certificate(self) -> Certificate:
         return Certificate(

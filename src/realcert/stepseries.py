@@ -39,18 +39,14 @@ __all__ = [
     "IntervalTooShort",
     "MonomialCombination",
     "MonomialRow",
-    "NonPrimeTheta",
     "NotDominant",
     "PowerAlongSubsequence",
-    "ProductsCollision",
-    "ProductsVerified",
     "StepFunction",
     "StepSeries",
     "UnboundedWitness",
     "basis_inequality_check",
     "comeager_perturbation",
     "disjoint_power_family",
-    "distinct_products_check",
     "dominance_index",
     "eval_series",
     "l1_norm",
@@ -64,10 +60,6 @@ class DivergentTail(ValueError):
 
 class NotDominant(ValueError):
     """First base is not strictly largest."""
-
-
-class NonPrimeTheta(ValueError):
-    pass
 
 
 class IntervalTooShort(ValueError):
@@ -231,11 +223,11 @@ class StepSeries:
 
 @dataclass(frozen=True)
 class EvalVerdict:
-    """kind "zero" | "unknown" (and "value" for the degenerate exact cases).
+    """kind "zero" (value 0, on the endpoint skeleton) or "unknown".
 
-    The three verdicts are consistent across budgets: a zero/value verdict
-    at one budget is never contradicted at a deeper one, and unknown may
-    only sharpen.
+    The verdicts are consistent across budgets: a zero verdict at one
+    budget is never contradicted at a deeper one, and unknown may only
+    sharpen.
     """
 
     kind: str
@@ -427,7 +419,7 @@ def unbounded_witness(
 
 
 # ---------------------------------------------------------------------------
-# Dominance and distinct products
+# Dominance index
 # ---------------------------------------------------------------------------
 
 
@@ -479,80 +471,6 @@ def dominance_index(
             return DominanceIndex(j, tail, half, prev)
         prev = (tail, half)
         j += 1
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    # deterministic Miller-Rabin for n < 3.3e24 with this base set
-    if n >= 3317044064679887385961981:
-        raise ValueError(f"{n} too large for the deterministic primality check")
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class ProductsVerified:
-    products: tuple[int, ...]
-
-    def as_json(self) -> dict:
-        return {"verdict": "verified", "products": list(self.products)}
-
-
-@dataclass(frozen=True)
-class ProductsCollision:
-    first: int
-    second: int
-    product: int
-
-    def as_json(self) -> dict:
-        return {
-            "verdict": "collision",
-            "rows": [self.first, self.second],
-            "product": self.product,
-        }
-
-
-def distinct_products_check(
-    thetas: Sequence[int], rows: Sequence[Sequence[int]]
-) -> ProductsVerified | ProductsCollision:
-    """Are the integer monomials prod theta^k pairwise distinct?
-
-    With pairwise distinct prime bases this is exactly log-linear
-    independence of the generators restricted to the given rows, and
-    unique factorization makes the integer comparison decide it.
-    """
-    ts = [int(t) for t in thetas]
-    if len(set(ts)) != len(ts):
-        raise ValueError("bases must be pairwise distinct")
-    for t in ts:
-        if not _is_prime(t):
-            raise NonPrimeTheta(f"base {t} is not prime")
-    combo = MonomialCombination(
-        tuple(ts), tuple(MonomialRow(ONE, tuple(r)) for r in rows)
-    )
-    seen: dict[int, int] = {}
-    for i, p in enumerate(combo.products):
-        if p in seen:
-            return ProductsCollision(seen[p], i, p)
-        seen[p] = i
-    return ProductsVerified(combo.products)
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +589,6 @@ class StepFunction:
 
     def sup_abs(self) -> Fraction:
         return max((abs(v) for _, _, v in self.pieces), default=ZERO)
-
-    def integral_abs(self) -> Fraction:
-        return sum((abs(v) * (b - a) for a, b, v in self.pieces), ZERO)
 
     def overridden(self, lo: Fraction, hi: Fraction, value: Fraction) -> "StepFunction":
         """Replace the values on [lo, hi] with a constant."""

@@ -1,20 +1,29 @@
-"""Byte guard for `realcert report --bundled`.
+"""Byte guard for the three workloads the benchmark pins.
 
-The benchmark pins the sha256 of every bundled report entry in
-bench/reference.json.  This test recomputes those digests in process, with
-the same canonical form as bench/checks.py: keys sorted, no whitespace,
-and the wall_ms, effort and library fields stripped at every level.  The
-reference file is only read here; moving one of its digests takes a
-deliberate re-record of the benchmark.
+The benchmark pins the sha256 of every bundled report entry, and of every
+spec-cli command and library-sweep operation at seed 1, in
+bench/reference.json.  These tests recompute those digests in process,
+with the same canonical form as bench/checks.py: keys sorted, no
+whitespace, and the wall_ms, effort and library fields stripped at every
+level.  Everything under bench/ is only read here; moving one of its
+digests takes a deliberate re-record of the benchmark.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from realcert.cli import main
 
-REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference.json"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+REFERENCE = BENCH / "reference.json"
+REFERENCE_SEED = 1
 VOLATILE = frozenset({"wall_ms", "effort", "library"})
 
 
@@ -31,10 +40,54 @@ def _digest(entry) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _pinned(workload: str) -> list[str]:
+    return json.loads(REFERENCE.read_text(encoding="utf-8"))[workload]
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    """bench/ on the import path, without writing bytecode into it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+
+
 def test_bundled_report_matches_bench_reference(capsys):
-    pinned = json.loads(REFERENCE.read_text(encoding="utf-8"))["bundled-report"]
+    pinned = _pinned("bundled-report")
     assert main(["report", "--bundled", "--json"]) == 0
     entries = json.loads(capsys.readouterr().out)["entries"]
     assert [e["criterion"] for e in entries] == list(range(1, len(pinned) + 1))
     for entry, want in zip(entries, pinned):
         assert _digest(entry) == want, f"check {entry['criterion']} {entry['title']}"
+
+
+def test_spec_cli_matches_bench_reference(bench, capsys, monkeypatch, tmp_path):
+    import inputs
+
+    pinned = _pinned("spec-cli")
+    pieces_path = tmp_path / "pieces.json"
+    cmds, pieces = inputs.cli_script(REFERENCE_SEED, str(pieces_path))
+    pieces_path.write_text(inputs.dumps(pieces), encoding="utf-8")
+    monkeypatch.chdir(ROOT)  # report entries name src/realcert/specs/...
+    assert len(cmds) == len(pinned)
+    for k, (cmd, want) in enumerate(zip(cmds, pinned)):
+        assert main(cmd["argv"]) == 0, cmd["argv"]
+        got = _digest(json.loads(capsys.readouterr().out))
+        assert got == want, f"command {k}: {' '.join(cmd['argv'])}"
+
+
+def test_library_sweep_matches_bench_reference(bench):
+    import inputs
+    import sweep
+
+    pinned = _pinned("library-sweep")
+    ops = inputs.library_ops(REFERENCE_SEED)
+    assert len(ops) == len(pinned)
+    for i, (op, want) in enumerate(zip(ops, pinned)):
+        assert _digest(sweep.run_op(op)) == want, f"operation {i}: {op['kind']}"
+
+
+def test_benchmark_unit_tests_pass():
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-m", "unittest", "discover", "-s", "bench"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

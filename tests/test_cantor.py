@@ -19,7 +19,6 @@ from realcert.cantor import (
     DepthTooSmall,
     InfeasibleMass,
     TowerSpec,
-    component_at_generation,
     find_component,
     tower_generation,
 )
@@ -113,8 +112,9 @@ def test_walk_point_agrees_with_enumeration():
 
 
 def test_walk_point_respects_level_cap():
-    approx = CantorApprox(unit_spec(Fraction(1, 2)), 10)
-    walk = approx.walk_point(Fraction(1, 3), max_level=2)
+    # the walk stops at the approximation's depth
+    approx = CantorApprox(unit_spec(Fraction(1, 2)), 2)
+    walk = approx.walk_point(Fraction(1, 3))
     assert walk.level <= 2
 
 
@@ -173,6 +173,26 @@ def test_grown_tower_spec_keeps_equality_and_hash():
     assert e1 == e2 and hash(e1) == hash(e2)
 
 
+def test_tower_generation_validates_each_generation_once(monkeypatch):
+    # mu_3 = 1/2 is all of S_3, so generation 3 has no room left in its holes
+    masses = (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))
+    calls = []
+    real = TowerSpec.rho
+    monkeypatch.setattr(TowerSpec, "rho", lambda self, j: calls.append(j) or real(self, j))
+    spec = TowerSpec("explicit", masses)
+    for d in (4, 8):
+        assert tower_generation(spec, 2, d).measure_enclosure.contains(Fraction(1, 4))
+    assert calls == [1, 2]
+    for j in (3, 3, 5):
+        with pytest.raises(InfeasibleMass, match="^generation 3 needs fraction 1 of its holes$"):
+            tower_generation(spec, j, 4)
+    assert calls == [1, 2, 3, 3, 3]
+    # a fresh spec fails the same way on its first call
+    with pytest.raises(InfeasibleMass, match="^generation 3 needs fraction 1 of its holes$"):
+        tower_generation(TowerSpec("explicit", masses), 3, 4)
+    assert spec == TowerSpec("explicit", masses)
+
+
 def test_tower_spec_json_round_trip():
     for t in (TowerSpec("dyadic"), TowerSpec("factorial"),
               TowerSpec("explicit", (Fraction(1, 4), Fraction(1, 8)))):
@@ -193,7 +213,7 @@ def test_generation_two_enumeration_matches_enclosure():
     # depth 3: 7 holes in generation 1, each hosting one component
     spec = TowerSpec("dyadic")
     tower = tower_generation(spec, 2, 3)
-    comps = tower.components
+    comps = tuple(tower.iter_components())
     assert len(comps) == tower.component_count == 7
     total = sum((c.measure for c in comps), Fraction(0))
     assert tower.measure_enclosure.contains(total)
@@ -241,22 +261,6 @@ def test_find_component_budget_exhaustion_is_inconclusive():
     assert isinstance(got, InconclusiveAtBudget)
     assert got.as_json()["verdict"] == "inconclusive-at-budget"
     assert got.budget == {"maxgen": 1, "depth": 2}
-
-
-def test_component_at_generation_deepens():
-    spec = TowerSpec("dyadic")
-    first = find_component(spec, Fraction(2, 5), Fraction(3, 5), max_generation=10, depth=12)
-    assert isinstance(first, ComponentWitness)
-    want = first.generation + 3
-    comp = component_at_generation(spec, Fraction(2, 5), Fraction(3, 5), want, 12)
-    assert isinstance(comp, CantorApprox)
-    a, b = comp.span
-    assert Fraction(2, 5) <= a < b <= Fraction(3, 5)
-    assert comp.spec.mass == spec.rho(want) * (b - a)
-    # asking below the drill's first find is inconclusive, not a refutation
-    if first.generation > 1:
-        low = component_at_generation(spec, Fraction(2, 5), Fraction(3, 5), first.generation - 1, 12)
-        assert isinstance(low, InconclusiveAtBudget)
 
 
 def test_find_component_rejects_bad_target():

@@ -76,14 +76,6 @@ def test_division_sound_or_rejected(a, b, c, d):
     assert q.contains(x.lo / y.lo) and q.contains(x.hi / y.hi)
 
 
-@given(rationals, rationals, st.integers(min_value=0, max_value=6))
-@settings(max_examples=150)
-def test_intpow_contains_powers(a, b, n):
-    x = Enclosure(min(a, b), max(a, b))
-    assert x.intpow(n).contains(x.lo**n)
-    assert x.intpow(n).contains(x.hi**n)
-
-
 def test_hull_and_intersect():
     x = Enclosure(Fraction(0), Fraction(2))
     y = Enclosure(Fraction(1), Fraction(3))
