@@ -325,15 +325,6 @@ class TowerApprox:
         root = CantorApprox(CantorSpec(ZERO, ONE, self.spec.mass(1)), self.depth)
         yield from expand(root, 1)
 
-    def as_json(self) -> dict:
-        return {
-            "tower": self.spec.as_json(),
-            "generation": self.generation,
-            "depth": self.depth,
-            "component_count": self.component_count,
-            "measure_enclosure": self.measure_enclosure.as_json(),
-        }
-
 
 def tower_generation(spec: TowerSpec, j: int, d: int) -> TowerApprox:
     """Generation j at component depth d, with a certified measure enclosure.
@@ -367,9 +358,6 @@ def tower_generation(spec: TowerSpec, j: int, d: int) -> TowerApprox:
 class ComponentWitness:
     generation: int
     component: CantorApprox
-
-    def as_json(self) -> dict:
-        return {"generation": self.generation, "component": self.component.as_json()}
 
 
 def find_component(

@@ -67,6 +67,19 @@ class _Parser(argparse.ArgumentParser):
         raise SpecError(message)
 
 
+def _ranged_int(least: int, most: int):
+    """Flag type: an integer in least..most, checked before anything runs."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if not least <= value <= most:
+            raise argparse.ArgumentTypeError(f"must lie in {least}..{most}, got {value}")
+        return value
+    return parse
+
+
 def _fraction_flag(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -632,7 +645,8 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_tower_build)
     p = tower.add_parser("show", help="component spans of one generation")
     _add_common(p)
-    p.add_argument("--generation", type=int, required=True)
+    p.add_argument("--generation", type=_ranged_int(*BUDGETS["maxgen"][1:3]),
+                   required=True)
     p.set_defaults(handler=_cmd_tower_show)
 
     fn = top.add_parser("fn", help="pointwise and integral values").add_subparsers(
@@ -640,8 +654,8 @@ def build_parser() -> _Parser:
     p = fn.add_parser("eval", help="enclose or decide the value at a point")
     _add_common(p)
     p.add_argument("--at", type=_fraction_flag, required=True, metavar="P/Q")
-    p.add_argument("--grid", type=int, default=0, metavar="N",
-                   help="with --csv: sample k/N for k = 0..N")
+    p.add_argument("--grid", type=_ranged_int(0, LIST_CEILING), default=0, metavar="N",
+                   help="with --csv: sample k/N for k = 0..N (0: off)")
     p.set_defaults(handler=_cmd_fn_eval)
     p = fn.add_parser("integrate", help="gauge integral by primitive difference")
     _add_common(p)

@@ -15,13 +15,21 @@ pi enters.  For point inputs the width of the result is at most
 
 ``exp_enc``, ``sqrt_enc`` and ``pi_const`` also refine monotonically: the
 enclosure computed at precision ``p + 8`` is a sub-interval of the one
-computed at precision ``p``.  For ``exp_enc`` this is structural: a request
-at precision ``p`` returns the intersection of independent evaluations at
-every effort rung ``8, 16, ..., 8*ceil(p/8)``, and a higher request only
-ever appends rungs.  ``sqrt_enc`` rounds onto nested dyadic grids and
-``pi_const`` onto nested partial-sum brackets.  ``sin_pi`` and ``cos_pi``
-skip the rung ladder and do not keep this contract: a higher precision can
-return an enclosure that is tighter but not nested.
+computed at precision ``p``.  ``exp_enc`` makes one evaluation at
+``b = 8*ceil(p/8)`` bits, and nesting follows from how that evaluation is
+built.  Its two decisions, the endpoint split for inputs wider than 2 and
+the reduction point ``n = floor(mid)``, are taken on the exact input, so
+every precision follows the same path.  With ``n`` and the path fixed,
+``b + 8`` bits repeats the ``b``-bit computation on a finer grid:
+rounding outward onto a finer grid lands inside the coarser rounding,
+interval operations are inclusion-monotone, and the e bracket and its
+powers nest.  The extra Taylor terms and the finer tail stay inside the
+coarser tail ``5 * bound``, because each term is smaller than the last by
+a factor of about ``b_abs / (k + 1)``, at most 2/3.  ``sqrt_enc`` rounds
+onto nested dyadic grids and ``pi_const`` onto nested partial-sum
+brackets.  ``sin_pi`` and ``cos_pi`` take their Taylor cutoff and grid
+from the requested precision and do not keep this contract: a higher
+precision can return an enclosure that is tighter but not nested.
 """
 
 from __future__ import annotations
@@ -187,14 +195,6 @@ def _coerce(value: "Enclosure | RationalLike") -> Enclosure:
 # pi and e brackets
 # ---------------------------------------------------------------------------
 
-_LADDER_STEP = 8
-
-
-def _ladder(precision: int) -> range:
-    top = _LADDER_STEP * (max(precision, 1) + _LADDER_STEP - 1) // _LADDER_STEP
-    return range(_LADDER_STEP, top + 1, _LADDER_STEP)
-
-
 @lru_cache(maxsize=None)
 def _atan_inv_bracket(inv: int, bits: int) -> tuple[Fraction, Fraction]:
     """Bracket for atan(1/inv), inv >= 2, via the alternating Gregory series.
@@ -353,23 +353,21 @@ def _fx_pow_pos(lo: int, hi: int, n: int, w: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=1 << 14)
 def _naive_exp(xlo: Fraction, xhi: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    w = bits + 32
-    a_lo = floor_scaled(xlo, w)
-    a_hi = ceil_scaled(xhi, w)
-    if a_hi - a_lo > 2 << w:
-        # absurdly wide input; exp is monotone, recurse on endpoints
+    if xhi - xlo > 2:
+        # wide input; exp is monotone, recurse on endpoints
         lo = _naive_exp(xlo, xlo, bits)[0]
         hi = _naive_exp(xhi, xhi, bits)[1]
         return (lo, hi)
-    n = ((a_lo + a_hi) // 2) >> w  # floor of the midpoint
+    n = math.floor((xlo + xhi) / 2)  # reduction point, decided exactly
+    w = bits + 32
     if n > 0:
         # widen the grid to absorb the e**n magnitude, keeping the
         # final width at 2**-bits in absolute terms
         w += (3 * n) // 2 + 2
-        a_lo = floor_scaled(xlo, w)
-        a_hi = ceil_scaled(xhi, w)
+    a_lo = floor_scaled(xlo, w)
+    a_hi = ceil_scaled(xhi, w)
     f_lo, f_hi = a_lo - (n << w), a_hi - (n << w)
-    # Taylor at 0 on f in ~[-0.6, 1.6]; tail target is 6 guard bits past
+    # Taylor at 0 on f in [-1, 2]; tail target is 6 guard bits past
     # bits + extra, which is always 26 bits below the grid
     b_abs = max(-f_lo, f_hi, 0)
     cutoff = 1 << 26
@@ -388,7 +386,11 @@ def _naive_exp(xlo: Fraction, xhi: Fraction, bits: int) -> tuple[Fraction, Fract
         bound = -((-bound) // k)
         if 5 * bound <= cutoff and k >= 2:
             break
-    tail = 5 * bound  # e**xi <= e**1.7 < 5 on the reduced range
+    # bound >= b_abs**k / k! covers the last term added; each later term is
+    # smaller than the one before by about b_abs / (k + 1) <= 2/3, so the
+    # remainder is at most 2 * bound and 5 * bound covers it with room to
+    # spare for the finer evaluations to nest inside
+    tail = 5 * bound
     t_lo, t_hi = max(s_lo - tail, 0), s_hi + tail
     if n != 0:
         eb = (w - 32) + 8 + 2 * abs(n).bit_length()
@@ -404,11 +406,8 @@ def _naive_exp(xlo: Fraction, xhi: Fraction, bits: int) -> tuple[Fraction, Fract
 
 def exp_enc(x: "Enclosure | RationalLike", precision: int = 64) -> Enclosure:
     x = _coerce(x)
-    acc = None
-    for b in _ladder(precision):
-        lo, hi = _naive_exp(x.lo, x.hi, b)
-        acc = (lo, hi) if acc is None else (max(acc[0], lo), min(acc[1], hi))
-    return Enclosure(*acc)
+    bits = 8 * ((max(precision, 1) + 7) // 8)
+    return Enclosure(*_naive_exp(x.lo, x.hi, bits))
 
 
 # ---------------------------------------------------------------------------

@@ -834,33 +834,19 @@ def jump_contribution_table(point: RationalLike, basis: Sequence[int],
                             precision: int = 160) -> ContributionTable:
     """Tabulate monomial jump contributions at one enumerated rational.
 
-    Step-power differences are expanded binomially in the gap so every
-    summand stays nonnegative; each monomial then scales the difference of
-    its total degree by its exponential evaluated at the point.
+    Each entry is the monomial's own jump from ``_jump_parts``: the
+    monomial expanded alone, with zero coefficients below its total
+    degree, so the entry equals ``jump_enclosure`` of that monomial.
     """
     if max_degree < 1:
         raise ValueError("need at least degree one")
     q = as_fraction(point)
     i = enum_index(q)
-    gap = Fraction(1, 1 << i)
     basis = _validate_basis(basis)
-    value = _clamped_value(q, gap, terms)
-    powers = [Enclosure.point(1)]
-    for _ in range(max_degree):
-        powers.append(powers[-1] * value)
-    diffs: list[Enclosure] = [Enclosure.point(0)]
-    for j in range(1, max_degree + 1):
-        acc = Enclosure.point(0)
-        gap_power = ONE
-        for m in range(1, j + 1):
-            gap_power *= gap
-            acc = acc + comb(j, m) * gap_power * powers[j - m]
-        diffs.append(acc)
     entries: list[tuple[tuple[int, ...], Enclosure]] = []
     for vec in product(range(max_degree + 1), repeat=len(basis)):
-        degree = sum(vec)
-        if not 1 <= degree <= max_degree:
+        if not 1 <= sum(vec) <= max_degree:
             continue
-        grower = ExpPoly(basis, ((ONE, vec),))
-        entries.append((vec, grower.evaluate(q, precision) * diffs[degree]))
-    return ContributionTable(q, i, gap, tuple(entries))
+        g = expand_generator_polynomial({vec: ONE}, basis)
+        entries.append((vec, _jump_parts(g, q, i, terms, precision)[1]))
+    return ContributionTable(q, i, Fraction(1, 1 << i), tuple(entries))

@@ -273,6 +273,24 @@ def test_out_of_range_budget_is_rejected_fast(specs, capsys, command, spec, extr
     assert f"budget {key} must lie in {span}" in out["error"]
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("tower", "show", "--spec", "{tower}", "--generation", "10000"),
+     "argument --generation: must lie in 1..64, got 10000"),
+    (("fn", "eval", "--spec", "{jump}", "--at", "1/3", "--grid", "-3",
+      "--csv", "{csv}"), "argument --grid: must lie in 0..100000, got -3"),
+], ids=["generation", "grid"])
+def test_out_of_range_flag_is_rejected_fast(specs, capsys, tmp_path, argv, message):
+    # --generation 10000 used to fail late on a 4300-digit count, and
+    # --grid -3 wrote a header-only CSV with exit 0
+    csv_path = tmp_path / "rows.csv"
+    argv = [a.format(csv=csv_path, **specs) for a in argv]
+    started = time.monotonic()
+    code, out = run(capsys, *argv)
+    assert time.monotonic() - started < 1
+    assert code == 1 and message in out["error"]
+    assert not csv_path.exists()
+
+
 @pytest.mark.parametrize("budget,message", [
     ({"depth": 65}, "budget depth must lie in 1..64"),
     ({"maxgen": True}, "budget maxgen must be an integer"),

@@ -53,6 +53,8 @@ MATRIX = [
      "4b8ee7215b9285c169163008d31c4611a722392273fa19fbca97281613f16e3e"),
     (("norm", "bv", "--spec", J), 0,
      "c8e547931081d6ac1ca6fccec01bcd05bd2803fee1598b90f79d7c496abf1ac0"),
+    (("norm", "bv", "--spec", J, "--budget", "terms=1024,precision=512"), 0,
+     "464d2decdb0cbd30b81acb24f225e03dbd6b26a2b25e7cdd5d8cb2165c552b95"),
     (("norm", "alexiewicz", "--spec", O), 0,
      "fcf29cf0d3d1961d244910f41eb7069e813f1fd0ffae55c9615593e3439f3051"),
     (("norm", "alexiewicz", "--spec", O, "--precision", "200"), 0,

@@ -14,6 +14,7 @@ from realcert.enclosure import (
     DivisorContainsZero,
     Enclosure,
     NegativeSqrtDomain,
+    _naive_exp,
     cos_pi,
     exp_enc,
     pi_const,
@@ -112,19 +113,54 @@ def test_precision_tightens(q):
     assert fine.hi - fine.lo <= rough.hi - rough.lo
 
 
-@given(small_rationals, st.integers(min_value=8, max_value=200))
+def ladder_exp(q: Fraction, precision: int) -> Enclosure:
+    """The rung ladder exp_enc once ran: intersect every rung 8, 16, .., 8*ceil(p/8)."""
+    lo, hi = _naive_exp(q, q, 8)
+    for bits in range(16, 8 * ((precision + 7) // 8) + 1, 8):
+        rung = _naive_exp(q, q, bits)
+        lo, hi = max(lo, rung[0]), min(hi, rung[1])
+    return Enclosure(lo, hi)
+
+
+@given(rationals, st.integers(min_value=1, max_value=512))
+@settings(max_examples=100, deadline=None)
+def test_exp_point_matches_rung_ladder(q, precision):
+    # one evaluation at the top rung returns the ladder's bytes on points
+    assert exp_enc(q, precision) == ladder_exp(q, precision)
+
+
+# widths in [0, 4], and widths within 2**-k of 2, where a grid-rounded
+# width test would pick different paths at different precisions
+widths = st.one_of(
+    st.fractions(min_value=0, max_value=4, max_denominator=10**4),
+    st.builds(lambda k, sign: 2 + sign * Fraction(1, 2**k),
+              st.integers(min_value=1, max_value=1100), st.sampled_from((-1, 1))),
+)
+
+
+@given(small_rationals, widths, st.integers(min_value=1, max_value=1024))
 @settings(max_examples=60, deadline=None)
-def test_refinement_nests(q, precision):
+def test_refinement_nests(q, width, precision):
     # the p -> p + 8 contract of the enclosure module docstring
     finer = precision + 8
     assert exp_enc(q, precision).contains(exp_enc(q, finer))
+    box = Enclosure(q, q + width)
+    assert exp_enc(box, precision).contains(exp_enc(box, finer))
     assert sqrt_enc(abs(q), precision).contains(sqrt_enc(abs(q), finer))
     assert pi_const(precision).contains(pi_const(finer))
 
 
+def test_exp_nests_on_width_just_below_two():
+    # 2**-40 grid rounding puts this width above 2 and the 2**-48 grid
+    # below it; deciding on the exact width keeps one path at both
+    box = Enclosure(Fraction(1, 3), Fraction(7, 3) - Fraction(1, 2**45))
+    assert exp_enc(box, 8).contains(exp_enc(box, 16))
+
+
 _SIN_COS_PI_NOT_NESTED = pytest.mark.xfail(
     strict=True,
-    reason="sin_pi and cos_pi skip the rung ladder, so p + 8 need not nest in p")
+    reason="sin_pi and cos_pi take their Taylor cutoff and grid from the precision, "
+           "so p + 8 need not nest in p")
 
 
 @pytest.mark.parametrize("kernel, c, precision", [
