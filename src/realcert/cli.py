@@ -6,6 +6,9 @@ are part of the contract: 0 means certified or computed, 2 means the
 finite budget was exhausted without settling the claim, 1 means the
 request itself was bad.  Inconclusive is deliberately not an error; no
 finite search can refute a density or unboundedness statement.
+
+Each command imports the construction modules it runs when it runs, so a
+short command does not pay to load the other constructions.
 """
 
 from __future__ import annotations
@@ -19,22 +22,12 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import __version__
-from .cantor import TowerSpec, tower_generation
 from .certificates import (CERTIFIED, COMPUTED, EXIT_FAILED, EXIT_INCONCLUSIVE,
                            EXIT_OK, INCONCLUSIVE, Certificate,
                            InconclusiveAtBudget, canonical_dumps, jsonable,
                            timed_check)
 from .enclosure import Enclosure
-from .jumps import (JumpPolynomial, JumpSeries, ShiftCombination,
-                    jump_enclosure, jump_search, staircase_polynomial,
-                    variation_bounds)
-from .oscillator import (OscCombination, Oscillator, alexiewicz_norm,
-                         kurzweil_integral, nonlebesgue_witness,
-                         restriction_witness)
 from .rational import as_fraction, dyadic_floor, format_fraction
-from .stepseries import (StepFunction, StepSeries, basis_inequality_check,
-                         comeager_perturbation, disjoint_power_family,
-                         eval_series, l1_norm, unbounded_witness)
 
 KINDS = ("tower-series", "jump-polynomial", "oscillator-combination")
 
@@ -187,13 +180,16 @@ def build_function(spec: FunctionSpec):
     """
     try:
         if spec.kind == "tower-series":
+            from .stepseries import StepSeries
             return StepSeries.from_json(spec.body)
         if spec.kind == "jump-polynomial":
+            from .jumps import JumpPolynomial, JumpSeries, ShiftCombination
             if "G" in spec.body:
                 return JumpPolynomial.from_json(spec.body)
             if "terms" in spec.body:
                 return ShiftCombination.from_json(spec.body)
             return JumpSeries.from_json(spec.body)
+        from .oscillator import OscCombination, Oscillator
         if "alphas" in spec.body:
             return OscCombination.from_json(spec.body)
         return Oscillator(Fraction(spec.body.get("lo", 0)),
@@ -242,8 +238,9 @@ def _csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
 
 
 def _cmd_tower_build(args):
+    from .cantor import tower_generation
     spec, series = _single_spec(args, "tower-series")
-    tower: TowerSpec = series.tower
+    tower = series.tower
     budget = _at_ceilings(spec.budget, "tower build")
     depth, upto = budget["depth"], budget["maxgen"]
     rows = []
@@ -269,8 +266,9 @@ def _cmd_tower_build(args):
 
 
 def _cmd_tower_show(args):
+    from .cantor import tower_generation
     spec, series = _single_spec(args, "tower-series")
-    tower: TowerSpec = series.tower
+    tower = series.tower
     j = args.generation
     depth = _at_ceilings(spec.budget, "tower show")["depth"]
     approx = tower_generation(tower, j, depth)
@@ -303,6 +301,7 @@ def _cmd_fn_eval(args):
     if spec.kind == "tower-series":
         if args.grid:
             raise SpecError("--grid needs enclosure-valued kinds, not tower-series")
+        from .stepseries import eval_series
         verdict = eval_series(obj, at, budget["maxgen"], budget["depth"])
         payload = {"at": format_fraction(at), "result": verdict.as_json(),
                    "provenance": spec.provenance()}
@@ -330,6 +329,7 @@ def _cmd_fn_eval(args):
 
 
 def _cmd_fn_integrate(args):
+    from .oscillator import kurzweil_integral
     spec, obj = _single_spec(args, "oscillator-combination")
     enc = kurzweil_integral(obj, args.lo, args.hi, spec.budget["precision"])
     payload = {
@@ -347,6 +347,7 @@ def _cmd_fn_integrate(args):
 
 
 def _cmd_norm_l1(args):
+    from .stepseries import l1_norm
     spec, series = _single_spec(args, "tower-series")
     terms = _at_ceilings(spec.budget, "norm l1")["terms"]
     enc = l1_norm(series, terms, spec.budget["depth"])
@@ -358,6 +359,7 @@ def _cmd_norm_l1(args):
 
 
 def _cmd_norm_bv(args):
+    from .jumps import variation_bounds
     spec, obj = _single_spec(args, "jump-polynomial")
     result = variation_bounds(obj, terms=spec.budget["terms"],
                               precision=spec.budget["precision"])
@@ -365,6 +367,7 @@ def _cmd_norm_bv(args):
 
 
 def _cmd_norm_alexiewicz(args):
+    from .oscillator import alexiewicz_norm
     spec, obj = _single_spec(args, "oscillator-combination")
     tol = spec.budget["tolerance"]
     enc = alexiewicz_norm(obj, tol, _at_ceilings(spec.budget, "norm alexiewicz")["precision"])
@@ -383,6 +386,7 @@ def _cmd_norm_alexiewicz(args):
 
 
 def _cmd_certify_unbounded(args):
+    from .stepseries import unbounded_witness
     spec, series = _single_spec(args, "tower-series")
     lo, hi = args.interval
     got = unbounded_witness(series, lo, hi, args.bound,
@@ -398,7 +402,8 @@ def _cmd_certify_unbounded(args):
     return EXIT_OK, cert.as_json(), None
 
 
-def _as_polynomial(obj) -> JumpPolynomial:
+def _as_polynomial(obj):
+    from .jumps import JumpPolynomial, JumpSeries, staircase_polynomial
     if isinstance(obj, JumpPolynomial):
         return obj
     if isinstance(obj, JumpSeries) and obj.shift is None:
@@ -407,6 +412,7 @@ def _as_polynomial(obj) -> JumpPolynomial:
 
 
 def _cmd_certify_jump_dense(args):
+    from .jumps import jump_search
     spec, obj = _single_spec(args, "jump-polynomial")
     poly = _as_polynomial(obj)
     lo, hi = args.interval
@@ -420,6 +426,7 @@ def _cmd_certify_jump_dense(args):
 
 def _nonlebesgue(obj, bar, precision: int, max_peaks: int):
     """The non-Lebesgue witness of a combination or of a single oscillator."""
+    from .oscillator import OscCombination, nonlebesgue_witness, restriction_witness
     witness = restriction_witness if isinstance(obj, OscCombination) else nonlebesgue_witness
     return witness(obj, bar, precision, max_peaks)
 
@@ -437,6 +444,7 @@ def _cmd_certify_non_lebesgue(args):
 
 
 def _cmd_certify_basis(args):
+    from .stepseries import basis_inequality_check, disjoint_power_family
     paths = args.spec or []
     if not paths:
         raise SpecError("at least one --spec is required")
@@ -475,6 +483,7 @@ def _cmd_certify_basis(args):
 
 
 def _cmd_certify_perturbation(args):
+    from .stepseries import StepFunction, comeager_perturbation
     pieces: tuple = ()
     if args.pieces:
         try:
@@ -504,6 +513,9 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], tuple[int, dict
     checks: list[tuple[str, Callable[[], tuple[int, dict]]]] = []
 
     if spec.kind == "tower-series":
+        from .cantor import tower_generation
+        from .stepseries import l1_norm, unbounded_witness
+
         def measure() -> tuple[int, dict]:
             capped = _at_ceilings(budget, "report: measure")
             entries = []
@@ -528,6 +540,8 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], tuple[int, dict
                    ("unbounded", unbounded)]
 
     elif spec.kind == "jump-polynomial":
+        from .jumps import jump_enclosure, jump_search, variation_bounds
+
         def nonzero() -> tuple[int, dict]:
             poly = _as_polynomial(obj)
             got = jump_enclosure(poly, Fraction(1, 2), budget["terms"],
@@ -555,6 +569,8 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], tuple[int, dict
                    ("norm-enclosure", variation)]
 
     else:
+        from .oscillator import alexiewicz_norm
+
         def not_lebesgue() -> tuple[int, dict]:
             got = _nonlebesgue(obj, 4, budget["precision"], 1000)
             if isinstance(got, InconclusiveAtBudget):

@@ -641,7 +641,10 @@ def jump_search(g: JumpPolynomial, lo: RationalLike, hi: RationalLike,
     that analytic margin is out of reach, a direct sign-excluding jump
     enclosure is accepted on its own.  Either way the certificate is the
     jump enclosure itself.  Runs in increasing index order, so results
-    are deterministic; failure is only ever a budget statement.
+    are deterministic; failure is only ever a budget statement.  The
+    shared enumeration grows one Calkin-Wilf tree level at a time as the
+    scan reaches past its end, so an early witness builds only the
+    levels it needs, not all index_budget entries.
     """
     a, b = as_fraction(lo), as_fraction(hi)
     if not ZERO < a < b < ONE:
@@ -650,11 +653,13 @@ def jump_search(g: JumpPolynomial, lo: RationalLike, hi: RationalLike,
     if eps <= 0:
         raise ValueError("threshold must be positive")
     bound = g.p_form_bound(precision)
-    nums, dens = CALKIN_WILF.pairs(index_budget)
+    nums, dens = CALKIN_WILF.pairs(1)
     pa, qa = a.numerator, a.denominator
     pb, qb = b.numerator, b.denominator
     candidates = 0
     for i in range(1, index_budget + 1):
+        if i > len(nums):
+            CALKIN_WILF.pairs(i)  # appends the next level to nums and dens
         n, d = nums[i - 1], dens[i - 1]
         if n * qa < pa * d or n * qb > pb * d:
             continue

@@ -15,7 +15,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .certificates import CERTIFIED, Certificate, InconclusiveAtBudget
@@ -242,15 +242,19 @@ class OscCombination:
     def is_zero(self) -> bool:
         return not self.alphas
 
-    def oscillators(self) -> tuple[tuple[Fraction, Oscillator], ...]:
+    # built once per combination; not a field, so ==, hash and memo keys ignore it
+    @cached_property
+    def _oscillators(self) -> tuple[tuple[Fraction, Oscillator], ...]:
         return tuple((alpha, Oscillator(*self.support(k), kind="derivative"))
                      for k, alpha in self.alphas)
 
     def _sum(self, x, precision: int, primitive: bool) -> Enclosure:
         total = Enclosure.point(0)
-        for alpha, osc in self.oscillators():
+        for alpha, osc in self._oscillators:
             part = osc.primitive_at(x, precision) if primitive \
                 else osc.derivative_at(x, precision)
+            if part.lo == 0 == part.hi:
+                continue  # off its support; adding an exact zero changes no bound
             total = total + alpha * part
         return total
 

@@ -7,7 +7,11 @@ thousand entries are recomputed that way and compared.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +43,7 @@ from realcert.jumps import (
 )
 
 mp.prec = 160
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def as_mp(q: Fraction) -> mpf:
@@ -351,6 +356,36 @@ def test_jump_search_below_coverage_is_inconclusive():
                       Fraction(1, 1000), index_budget=2000)
     assert isinstance(got, InconclusiveAtBudget)
     assert got.budget["candidates"] == 0
+
+
+def test_jump_search_grows_enumeration_only_to_the_witness_level():
+    # a fresh interpreter, so no other test has grown the shared enumeration
+    code = ("from fractions import Fraction as F\n"
+            "from realcert.jumps import CALKIN_WILF, jump_search, staircase_polynomial\n"
+            "got = jump_search(staircase_polynomial(), F(3001, 10000), F(3011, 10000),\n"
+            "                  F(1, 1000))\n"
+            "print(got.index, len(CALKIN_WILF.pairs(0)[0]))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    index, entries = map(int, done.stdout.split())
+    assert index == 8220
+    # levels 1..L hold 2^L - 1 entries; i needs L = ceil(log2(i+1)) = i.bit_length()
+    assert entries < 2 * 2 ** index.bit_length()
+
+
+def test_jump_search_inconclusive_reports_every_candidate():
+    # G(s) = s^2 - s: at terms=1 the staircase value is only known to lie in
+    # [0, 1/2], so no jump excludes zero and the whole budget is scanned
+    g = JumpPolynomial((ExpPoly.constant((1,), -1), ExpPoly.constant((1,), 1)))
+    lo, hi, budget = Fraction(1, 25), Fraction(1, 17), 10 ** 5  # partly below coverage
+    got = jump_search(g, lo, hi, Fraction(1, 1000), budget, terms=1, precision=32)
+    assert isinstance(got, InconclusiveAtBudget)
+    candidates = sum(lo <= enum_rational(i) <= hi for i in range(1, budget + 1))
+    assert candidates == 2  # 1/17 and 1/18, at indices 2^15 and 2^16
+    assert got.budget == {"index_budget": budget, "candidates": candidates,
+                          "terms": 1, "precision": 32}
 
 
 def test_jump_search_validation():

@@ -295,6 +295,47 @@ def test_combination_value_splits_by_support():
     assert c.primitive_at(Fraction(3, 4)) == Enclosure.point(Fraction(0))
 
 
+def full_sum(c: OscCombination, x, precision: int, primitive: bool) -> Enclosure:
+    """Reference: rebuild every oscillator and add every part, zeros included."""
+    total = Enclosure.point(0)
+    for k, alpha in c.alphas:
+        osc = Oscillator(*c.support(k), kind="derivative")
+        part = osc.primitive_at(x, precision) if primitive \
+            else osc.derivative_at(x, precision)
+        total = total + alpha * part
+    return total
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except UnboundedSpan as err:  # derivative boxes that reach a support edge
+        return type(err)
+
+
+_COEFFS = st.dictionaries(st.integers(min_value=1, max_value=6),
+                          st.integers(min_value=-3, max_value=3).filter(bool).map(Fraction),
+                          min_size=1, max_size=4)
+_EDGES = st.integers(min_value=0, max_value=7).map(lambda k: Fraction(1, 1 << k))
+_WIDTHS = st.fractions(min_value=0, max_value=Fraction(1, 8), max_denominator=4096)
+
+
+@given(_COEFFS,
+       st.one_of(_EDGES, st.fractions(min_value=0, max_value=1, max_denominator=4096)),
+       _WIDTHS, _WIDTHS, st.sampled_from((32, 96)))
+@settings(max_examples=150, deadline=None)
+def test_combination_sum_matches_full_sum(coeffs, centre, left, right, precision):
+    # centre on a dyadic edge with both widths positive: a box straddling it
+    c = OscCombination.of(coeffs)
+    box = Enclosure(max(Fraction(0), centre - left), min(Fraction(1), centre + right))
+    for x in (centre, box):
+        assert c.primitive_at(x, precision) == full_sum(c, x, precision, True)
+        assert (outcome(c.value_at, x, precision)
+                == outcome(full_sum, c, x, precision, False))
+    twin = OscCombination.of(coeffs)
+    assert c == twin and hash(c) == hash(twin)
+
+
 def test_combination_json_round_trip():
     c = OscCombination.of({1: Fraction(1, 2), 4: -3})
     assert OscCombination.from_json(c.as_json()) == c
