@@ -9,6 +9,7 @@ witness below pins that down with an exact component of positive measure.
 from fractions import Fraction
 
 from realcert.cantor import TowerSpec
+from realcert.certificates import InconclusiveAtBudget
 from realcert.stepseries import (PowerAlongSubsequence, StepSeries,
                                  eval_series, l1_norm, unbounded_witness)
 
@@ -28,7 +29,10 @@ print()
 print("pointwise verdicts for the a.e. representative:")
 for x in (Fraction(3, 8), Fraction(1, 3), Fraction(829, 2048)):
     v = eval_series(series, x, maxgen=24, depth=24)
-    print(f"  f({x}) -> {v.kind}: {v.detail}")
+    if isinstance(v, InconclusiveAtBudget):
+        print(f"  f({x}) -> inconclusive: {v.reason}")
+    else:
+        print(f"  f({x}) -> 0: {v.detail}")
 
 bar = Fraction(10**6)
 lo, hi = Fraction(1, 3), Fraction(1, 3) + Fraction(1, 50)

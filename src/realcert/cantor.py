@@ -219,6 +219,11 @@ class TowerSpec:
         if self.masses is not None:
             object.__setattr__(self, "masses", tuple(as_fraction(m) for m in self.masses))
 
+    @property
+    def generations(self) -> int | None:
+        """Generation count: len(masses) for an explicit tower, None for the presets."""
+        return None if self.masses is None else len(self.masses)
+
     def mass(self, j: int) -> Fraction:
         if j < 1:
             raise ValueError(f"generation {j} < 1")
@@ -226,7 +231,7 @@ class TowerSpec:
             return pow2(-j)
         if self.preset == "factorial":
             return Fraction(1, 2 * math.factorial(j))
-        if j > len(self.masses):
+        if j > self.generations:
             raise InfeasibleMass(f"explicit masses exhausted at generation {j}")
         m = self.masses[j - 1]
         if m <= 0:

@@ -26,7 +26,7 @@ from .jumps import (ExpPoly, JumpPolynomial, ShiftCombination, SqrtShift,
 from .oscillator import (OscCombination, Oscillator, alexiewicz_norm,
                          hake_table, kurzweil_integral, nonlebesgue_witness,
                          osc_eval, slope_bound)
-from .rational import ZERO, pow2
+from .rational import ZERO, format_fraction, pow2
 from .stepseries import (DominanceIndex, PowerAlongSubsequence, StepFunction,
                          StepSeries, basis_inequality_check,
                          comeager_perturbation, disjoint_power_family,
@@ -184,8 +184,9 @@ def _check_density(windows: Sequence[tuple[str, Fraction, Fraction]]) -> tuple[i
         got = jump_search(targets[name], lo, hi, Fraction(1, 1000),
                           index_budget=_INDEX_BUDGET, terms=64, precision=128)
         if isinstance(got, InconclusiveAtBudget):
-            return EXIT_INCONCLUSIVE, {"polynomial": name,
-                                       "window_lo": lo, **got.as_json()}
+            return EXIT_INCONCLUSIVE, InconclusiveAtBudget(
+                f"{name} on [{format_fraction(lo)}, {format_fraction(hi)}]: {got.reason}",
+                got.budget).as_json()
         if not (lo <= got.point <= hi and got.index <= _INDEX_BUDGET
                 and not got.jump.contains_zero()):
             return EXIT_FAILED, {"verdict": "failed", "polynomial": name,
@@ -350,7 +351,7 @@ def _check_basis_inequality(trials: Sequence[tuple[Sequence[Fraction], int, int]
     family = disjoint_power_family(Fraction(3, 2), 6)
     for trial, (coeffs, m1, m2) in enumerate(trials):
         result = basis_inequality_check(coeffs, m1, m2, family)
-        if not (result.holds and result.margin_lower >= 0):
+        if result.margin_lower < 0:
             return EXIT_FAILED, {"verdict": "failed", "trial": trial,
                                  "comparison": result.as_json()}
     return EXIT_OK, {"verdict": CERTIFIED, "trials": len(trials), "family_size": 6}

@@ -23,9 +23,8 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .certificates import (CERTIFIED, COMPUTED, EXIT_FAILED, EXIT_INCONCLUSIVE,
-                           EXIT_OK, INCONCLUSIVE, Certificate,
-                           InconclusiveAtBudget, canonical_dumps, jsonable,
-                           timed_check)
+                           EXIT_OK, Certificate, InconclusiveAtBudget,
+                           canonical_dumps, jsonable, timed_check)
 from .enclosure import Enclosure
 from .rational import as_fraction, dyadic_floor, format_fraction
 
@@ -302,11 +301,12 @@ def _cmd_fn_eval(args):
         if args.grid:
             raise SpecError("--grid needs enclosure-valued kinds, not tower-series")
         from .stepseries import eval_series
-        verdict = eval_series(obj, at, budget["maxgen"], budget["depth"])
-        payload = {"at": format_fraction(at), "result": verdict.as_json(),
+        got = eval_series(obj, at, budget["maxgen"], budget["depth"])
+        if isinstance(got, InconclusiveAtBudget):
+            return EXIT_INCONCLUSIVE, got.as_json(), None
+        payload = {"at": format_fraction(at), "result": got.as_json(),
                    "provenance": spec.provenance()}
-        code = EXIT_INCONCLUSIVE if verdict.kind == "unknown" else EXIT_OK
-        return code, payload, None
+        return EXIT_OK, payload, None
 
     def value(x: Fraction) -> Enclosure:
         if spec.kind == "jump-polynomial":
@@ -403,18 +403,25 @@ def _cmd_certify_unbounded(args):
 
 
 def _as_polynomial(obj):
+    """The polynomial a jump search runs on: obj itself or the plain staircase.
+
+    None for a wrapped staircase or a shift combination, whose jumps sit at
+    irrational wrap points that no enumerated rational reaches.
+    """
     from .jumps import JumpPolynomial, JumpSeries, staircase_polynomial
     if isinstance(obj, JumpPolynomial):
         return obj
     if isinstance(obj, JumpSeries) and obj.shift is None:
         return staircase_polynomial()
-    raise SpecError("jump search needs the plain staircase or a polynomial in it")
+    return None
 
 
 def _cmd_certify_jump_dense(args):
     from .jumps import jump_search
     spec, obj = _single_spec(args, "jump-polynomial")
     poly = _as_polynomial(obj)
+    if poly is None:
+        raise SpecError("jump search needs the plain staircase or a polynomial in it")
     lo, hi = args.interval
     budget = spec.budget
     got = jump_search(poly, lo, hi, args.eps, _index_budget(budget),
@@ -469,13 +476,12 @@ def _cmd_certify_basis(args):
                                     budget["terms"], budget["depth"])
     # exact norms can run to thousands of digits; emit on a dyadic grid
     comparison = {
-        "verdict": "holds" if result.holds else "inconclusive",
+        "verdict": "holds",
         "left_norm": result.left.outward(96),
         "right_norm": result.right.outward(96),
         "margin_lower": dyadic_floor(result.margin_lower, 96),
     }
-    cert = Certificate("basis-inequality",
-                       CERTIFIED if result.holds else COMPUTED,
+    cert = Certificate("basis-inequality", CERTIFIED,
                        {"coefficients": coeffs, "m1": m1, "m2": m2,
                         "comparison": comparison,
                         "provenance": specs[0].provenance()})
@@ -541,17 +547,18 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], tuple[int, dict
 
     elif spec.kind == "jump-polynomial":
         from .jumps import jump_enclosure, jump_search, variation_bounds
+        poly = _as_polynomial(obj)
 
         def nonzero() -> tuple[int, dict]:
-            poly = _as_polynomial(obj)
             got = jump_enclosure(poly, Fraction(1, 2), budget["terms"],
                                  budget["precision"])
-            verdict = CERTIFIED if got.certified_nonzero else INCONCLUSIVE
-            return (EXIT_OK if got.certified_nonzero else EXIT_INCONCLUSIVE,
-                    {"verdict": verdict, "jump": got.value})
+            if got.certified_nonzero:
+                return EXIT_OK, {"verdict": CERTIFIED, "jump": got.value}
+            return EXIT_INCONCLUSIVE, InconclusiveAtBudget(
+                "the jump enclosure at 1/2 still contains zero",
+                {"terms": budget["terms"], "precision": budget["precision"]}).as_json()
 
         def dense() -> tuple[int, dict]:
-            poly = _as_polynomial(obj)
             got = jump_search(poly, Fraction(2, 5), Fraction(3, 5),
                               Fraction(1, 1000), _index_budget(budget),
                               budget["terms"], budget["precision"])
@@ -565,8 +572,10 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], tuple[int, dict
                                   precision=budget["precision"])
             return EXIT_OK, vb.certificate().as_json()
 
-        checks += [("jump-nonzero", nonzero), ("jump-dense-sample", dense),
-                   ("norm-enclosure", variation)]
+        # the jump checks need a polynomial; the variation bounds take every shape
+        if poly is not None:
+            checks += [("jump-nonzero", nonzero), ("jump-dense-sample", dense)]
+        checks.append(("norm-enclosure", variation))
 
     else:
         from .oscillator import alexiewicz_norm

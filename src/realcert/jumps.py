@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, isqrt
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .certificates import CERTIFIED, COMPUTED, Certificate, InconclusiveAtBudget
+from .certificates import CERTIFIED, Certificate, InconclusiveAtBudget
 from .enclosure import Enclosure, exp_enc, sqrt_enc
 from .rational import (ONE, ZERO, RationalLike, as_fraction, ceil_scaled,
                        floor_scaled, format_fraction)
@@ -76,22 +76,23 @@ class RationalEnumeration:
     recovered by replaying n's binary digits as left/right steps.
     """
 
-    __slots__ = ("_nums", "_dens", "_level")
+    __slots__ = ("_nums", "_dens")
 
     def __init__(self) -> None:
-        self._nums: list[int] = []
-        self._dens: list[int] = []
-        self._level: list[tuple[int, int]] = [(1, 1)]
+        self._nums: list[int] = [1]
+        self._dens: list[int] = [2]
 
     def _grow(self, n: int) -> None:
-        while len(self._nums) < n:
-            nxt: list[tuple[int, int]] = []
-            for a, b in self._level:
-                self._nums.append(a)
-                self._dens.append(a + b)
-                nxt.append((a, a + b))
-                nxt.append((a + b, b))
-            self._level = nxt
+        # the entries stored so far fill whole levels: 2^L - 1 of them, the
+        # last level starting at index 2^(L-1) - 1.  Entry a/d has the
+        # children a/(a+d) and d/(2d-a), left to right.
+        nums, dens = self._nums, self._dens
+        while len(nums) < n:
+            start, end = len(nums) // 2, len(nums)
+            for i in range(start, end):
+                a, d = nums[i], dens[i]
+                nums += (a, d)
+                dens += (a + d, 2 * d - a)
 
     def pairs(self, n: int) -> tuple[list[int], list[int]]:
         """Numerators and denominators of the first n entries (shared lists)."""
@@ -546,18 +547,6 @@ class JumpCertificate:
     value: Enclosure
     certified_nonzero: bool
 
-    def certificate(self) -> Certificate:
-        return Certificate(
-            claim="staircase-polynomial-jump",
-            verdict=CERTIFIED if self.certified_nonzero else COMPUTED,
-            payload={
-                "index": self.index,
-                "point": self.point,
-                "jump": self.value,
-                "excludes_zero": self.certified_nonzero,
-            },
-        )
-
 
 def one_sided_limits(g: JumpPolynomial, q: RationalLike, terms: int = 64,
                      precision: int = 96) -> tuple[Enclosure, Enclosure]:
@@ -758,8 +747,7 @@ def variation_bounds(h: "JumpSeries | ShiftCombination | JumpPolynomial",
 
 
 def expand_generator_polynomial(
-    poly: "Mapping[tuple[int, ...], RationalLike] | Iterable[tuple[RationalLike, tuple[int, ...]]]",
-    basis: Sequence[int],
+    poly: Mapping[tuple[int, ...], RationalLike], basis: Sequence[int],
 ) -> JumpPolynomial:
     """Expand p(u_1, .., u_b) at u_a = exp(sqrt(d_a) x) * staircase.
 
@@ -770,11 +758,7 @@ def expand_generator_polynomial(
     """
     basis = _validate_basis(basis)
     width = len(basis)
-    if isinstance(poly, Mapping):
-        items = [(as_fraction(c), tuple(int(e) for e in vec))
-                 for vec, c in poly.items()]
-    else:
-        items = [(as_fraction(c), tuple(int(e) for e in vec)) for c, vec in poly]
+    items = [(as_fraction(c), tuple(int(e) for e in vec)) for vec, c in poly.items()]
     by_degree: dict[int, list[tuple[Fraction, tuple[int, ...]]]] = {}
     top = 0
     for coeff, vec in items:

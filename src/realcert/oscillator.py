@@ -20,7 +20,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .certificates import CERTIFIED, Certificate, InconclusiveAtBudget
 from .enclosure import Enclosure, cos_pi, pi_const, sin_pi, sqrt_enc
-from .rational import HALF, ONE, ZERO, RationalLike, as_fraction, format_fraction
+from .rational import (HALF, ONE, ZERO, RationalLike, as_fraction, dyadic_floor,
+                       format_fraction)
 
 __all__ = [
     "Extremum",
@@ -410,8 +411,9 @@ def nonlebesgue_witness(o: Oscillator, bar: RationalLike, precision: int = 96,
     while total < bar:
         if k >= max_peaks:
             return InconclusiveAtBudget(
-                f"partial sum {float(total):.3f} after {k} peaks has not "
-                f"reached {float(bar):.3f}", {"max_peaks": max_peaks})
+                f"partial sum at least {format_fraction(dyadic_floor(total, 32))} "
+                f"after {k} peaks has not reached {format_fraction(bar)}",
+                {"max_peaks": max_peaks})
         k += 1
         total += _peak_gap(k)
     before = total - _peak_gap(k)

@@ -21,7 +21,6 @@ from typing import Sequence
 from .cantor import (
     CantorApprox,
     CantorSpec,
-    InfeasibleMass,
     TowerSpec,
     fill_first_hole,
     find_component,
@@ -223,55 +222,50 @@ class StepSeries:
 
 @dataclass(frozen=True)
 class EvalVerdict:
-    """kind "zero" (value 0, on the endpoint skeleton) or "unknown".
+    """The representative is zero at the point, found at a generation.
 
-    The verdicts are consistent across budgets: a zero verdict at one
-    budget is never contradicted at a deeper one, and unknown may only
-    sharpen.
+    The point lies on the measure-zero skeleton of kept/hole endpoints, or
+    in a hole of an explicit tower's last generation, which no generation
+    fills.  A deeper budget never contradicts it.
     """
 
-    kind: str
-    value: Fraction | None = None
-    generation: int | None = None
-    detail: str = ""
+    generation: int
+    detail: str
 
     def as_json(self) -> dict:
-        out = {"verdict": self.kind, "detail": self.detail}
-        if self.value is not None:
-            out["value"] = format_fraction(self.value)
-        if self.generation is not None:
-            out["generation"] = self.generation
-        return out
+        return {"verdict": "zero", "detail": self.detail, "value": format_fraction(ZERO),
+                "generation": self.generation}
 
 
-def eval_series(s: StepSeries, x: RationalLike, maxgen: int = 20, depth: int = 20) -> EvalVerdict:
+def eval_series(s: StepSeries, x: RationalLike, maxgen: int = 20,
+                depth: int = 20) -> EvalVerdict | InconclusiveAtBudget:
     """A.e.-representative evaluation at a rational point.
 
     The representative is zero on the measure-zero skeleton of kept/hole
-    endpoints, so landing exactly on a discovered endpoint certifies Zero.
-    A point still inside a kept interval when the budget runs out stays
-    Unknown: finite depth cannot exclude deeper holes around it.
+    endpoints, so landing exactly on a discovered endpoint certifies zero.
+    A point still inside a kept interval when the budget runs out is
+    inconclusive: finite depth cannot exclude deeper holes around it.
     """
     x = as_fraction(x)
     if x < 0 or x > 1:
         raise ValueError(f"point {x} outside [0, 1]")
+    budget = {"maxgen": maxgen, "depth": depth}
     comp = CantorSpec(ZERO, ONE, s.tower.mass(1))
     g = 1
     while True:
         w = CantorApprox(comp, depth).walk_point(x)
         if w.kind == "edge":
-            return EvalVerdict(
-                "zero", ZERO, g, f"on the endpoint skeleton at generation {g}, level {w.level}"
-            )
+            return EvalVerdict(g, f"on the endpoint skeleton at generation {g}, level {w.level}")
         if w.kind == "kept":
+            return InconclusiveAtBudget(
+                f"still in a kept interval of generation {g} at depth {depth}", budget)
+        # inside an open hole: the next generation fills it, if there is one
+        if g == s.tower.generations:
             return EvalVerdict(
-                "unknown", None, g, f"still in a kept interval of generation {g} at depth {depth}"
-            )
-        # inside an open hole: the next generation fills it
+                g, f"inside a hole of the last generation {g}, which no generation fills")
         if g + 1 > maxgen:
-            return EvalVerdict(
-                "unknown", None, g, f"inside a generation-{g} hole at the generation budget"
-            )
+            return InconclusiveAtBudget(
+                f"inside a generation-{g} hole at the generation budget", budget)
         g += 1
         comp = CantorSpec(w.lo, w.hi, s.tower.rho(g) * (w.hi - w.lo))
 
@@ -297,15 +291,10 @@ def _power_tail(tower: TowerSpec, theta: Fraction, last_exp: int) -> Fraction:
             m += 1
             t = t * theta / m
         return tail + 2 * t
-    # explicit preset: finitely many generations, sum them exactly
-    tail = ZERO
-    m = last_exp + 1
-    while True:
-        try:
-            tail += theta**m * tower.mass(m)
-        except InfeasibleMass:
-            return tail
-        m += 1
+    # explicit preset: the generations past last_exp, summed exactly
+    tower.validate(tower.generations)
+    return sum((theta**m * tower.mass(m)
+                for m in range(last_exp + 1, tower.generations + 1)), ZERO)
 
 
 def _term_depth(depth: int, j: int, coeff: Fraction) -> int:
@@ -333,17 +322,17 @@ def l1_norm(s: StepSeries, terms: int = 64, depth: int = 20) -> Enclosure:
     if terms < 1:
         raise ValueError("need at least one term")
     lo = hi = ZERO
+    count = s.tower.generations
     if isinstance(s.rule, PowerAlongSubsequence):
         limit = s.rule.term_limit
         n_terms = terms if limit is None else min(terms, limit)
         last = 0
         for j in range(1, n_terms + 1):
             n = s.rule.exponent(j)
+            if count is not None and n > count:
+                break  # the explicit tower ends before the subsequence
             c = s.rule.theta**n
-            try:
-                e = tower_generation(s.tower, n, _term_depth(depth, j, c)).measure_enclosure
-            except InfeasibleMass:
-                break  # explicit tower exhausted before the subsequence
+            e = tower_generation(s.tower, n, _term_depth(depth, j, c)).measure_enclosure
             lo += c * e.lo
             hi += c * e.hi
             last = n
@@ -353,12 +342,9 @@ def l1_norm(s: StepSeries, terms: int = 64, depth: int = 20) -> Enclosure:
             tail = _power_tail(s.tower, s.rule.theta, last)
         return Enclosure(lo, hi + tail)
     # monomial combination: every generation contributes
-    for j in range(1, terms + 1):
+    for j in range(1, terms + 1 if count is None else min(terms, count) + 1):
         v = abs(s.rule.value_at(j))
-        try:
-            e = tower_generation(s.tower, j, _term_depth(depth, j, v)).measure_enclosure
-        except InfeasibleMass:
-            return Enclosure(lo, hi)  # explicit tower exhausted: sum is exact
+        e = tower_generation(s.tower, j, _term_depth(depth, j, v)).measure_enclosure
         lo += v * e.lo
         hi += v * e.hi
     tail = ZERO
@@ -502,14 +488,13 @@ class BasisComparison:
     sum_{m1 < k <= m2} |a_k| * (exact lower bound of ||g_k||_1) >= 0.
     """
 
-    holds: bool
     left: Enclosure
     right: Enclosure
     margin_lower: Fraction
 
     def as_json(self) -> dict:
         return {
-            "verdict": "holds" if self.holds else "inconclusive",
+            "verdict": "holds",
             "left_norm": self.left.as_json(),
             "right_norm": self.right.as_json(),
             "margin_lower": format_fraction(self.margin_lower),
@@ -541,7 +526,7 @@ def basis_inequality_check(
             left = left + scaled
         else:
             margin += abs(a[k]) * norms[k].lo
-    return BasisComparison(True, left, right, margin)
+    return BasisComparison(left, right, margin)
 
 
 def _check_disjoint_supports(family: Sequence[StepSeries], terms: int) -> None:

@@ -81,7 +81,10 @@ def test_fn_eval_tower_zero_and_unknown(specs, capsys):
     code, out = run(capsys, "fn", "eval", "--spec", specs["tower"], "--at", "3/8")
     assert code == 0 and out["result"]["verdict"] == "zero"
     code, out = run(capsys, "fn", "eval", "--spec", specs["tower"], "--at", "1/2")
-    assert code == 2 and out["result"]["verdict"] == "unknown"
+    assert code == 2
+    assert out == {"verdict": "inconclusive-at-budget",
+                   "reason": "inside a generation-20 hole at the generation budget",
+                   "budget": {"maxgen": 20, "depth": 20}}
 
 
 def test_fn_eval_oscillator_value(specs, capsys):
@@ -205,6 +208,27 @@ def test_certify_perturbation_with_pieces(capsys, tmp_path):
 # -- report -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("body", [
+    {"terms": [{"beta": "2", "shift": 1}, {"beta": "3", "shift": 2}]},
+    {"shift": {"sqrt2_multiple": 1}},
+], ids=["shift-combination", "wrapped-staircase"])
+def test_report_runs_the_checks_that_apply(capsys, tmp_path, body):
+    # no enumerated rational reaches these jumps, so only the variation
+    # bounds apply; a jump search on them is still a bad request
+    spec = tmp_path / "shifted.json"
+    spec.write_text(json.dumps({"kind": "jump-polynomial", "body": body}))
+    code, out = run(capsys, "report", str(spec))
+    assert code == 0
+    [entry] = out["entries"]
+    assert entry["claim"] == "norm-enclosure"
+    assert entry["payload"]["claim"] == "variation-bounds"
+    assert entry["payload"]["verdict"] == "certified"
+    code, out = run(capsys, "certify", "jump-dense", "--spec", str(spec),
+                    "--interval", "0", "1")
+    assert code == 1
+    assert out == {"error": "jump search needs the plain staircase or a polynomial in it"}
+
+
 def test_report_empty(capsys):
     code, out = run(capsys, "report")
     assert code == 0
@@ -228,6 +252,18 @@ def test_report_starved_budget_is_inconclusive(specs, capsys):
 
 
 # -- failure modes ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("terms", ["1", "64"])
+def test_malformed_explicit_tower_exits_1(capsys, tmp_path, terms):
+    # mu_2 = 1/2 is all of S_2: generation 2 has no room in its holes
+    spec = tmp_path / "tower.json"
+    spec.write_text(json.dumps({"kind": "tower-series", "body": {
+        "tower": {"masses": ["1/2", "1/2", "1/8"]},
+        "rule": {"power": {"theta": "3/2", "subseq": "all"}}}}))
+    error = {"error": "generation 2 needs fraction 1 of its holes"}
+    for argv in (("norm", "l1", "--budget", f"terms={terms}"), ("tower", "build")):
+        assert run(capsys, *argv, "--spec", str(spec)) == (1, error)
 
 
 def test_malformed_spec_file(capsys, tmp_path):

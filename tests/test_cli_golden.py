@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from realcert.certificates import INCONCLUSIVE
 from realcert.cli import main
 
 SPECS = Path(__file__).resolve().parents[1] / "src" / "realcert" / "specs"
@@ -37,7 +38,7 @@ MATRIX = [
     (("fn", "eval", "--spec", T, "--at", "3/8"), 0,
      "f3ccbbcafc417fbeda2056a0e8f3fc77f1c2465690d41cd61d72e46c61e9f287"),
     (("fn", "eval", "--spec", T, "--at", "1/3"), 2,
-     "4c3eb3c116c5dba277184a180ce39ccb0ece8a48f82e70d2856b9e797f954e4a"),
+     "bf949d2b944a2195afacae8fa31baf7be65b4339dcc07381a3c7c41c532c2ca8"),
     (("fn", "eval", "--spec", J, "--at", "1/3", "--precision", "96"), 0,
      "15592821c33b99b296addb4e1eae08bfafb668ae5c393c7042798b96d8243d77"),
     (("fn", "eval", "--spec", O, "--at", "3/10"), 0,
@@ -75,7 +76,7 @@ MATRIX = [
      "f3d13c3c2a386a4287ffa3532378db611bae3685fb33be40328b7dbcd94ee904"),
     (("certify", "non-lebesgue", "--spec", O, "--bound", "40",
       "--budget", "maxgen=1"), 2,
-     "a56d13001a403eb8fa98b19febd06354802740c6481018b69782884e69440488"),
+     "14a4674219ffd78f05def506e078901e6f6ef1db03f94f387ea53f92ee5d8426"),
     (("certify", "basis", "--spec", T, "--coeffs", "1,-2,1", "--m2", "3"), 0,
      "1500bfdecda6d89466436b785f6649e75a34f5871c4f03aae9f3aa54cb1088b6"),
     (("certify", "perturbation", "--bound", "1", "--interval", "0", "1",
@@ -124,6 +125,87 @@ MATRIX = [
 ]
 
 
+# spec shapes the bundled specs do not exercise, written out per test
+SHAPES = {
+    "shift.json": {"kind": "jump-polynomial", "body": {
+        "terms": [{"beta": "2", "shift": 1}, {"beta": "3", "shift": 2}]}},
+    "wrapped.json": {"kind": "jump-polynomial", "body": {"shift": {"sqrt2_multiple": 1}}},
+    "staircase.json": {"kind": "jump-polynomial", "body": {}},
+    "host.json": {"kind": "oscillator-combination",
+                  "body": {"lo": "1/4", "hi": "1/2", "kind": "derivative"},
+                  "budget": {"tolerance": "1/1000"}},
+    "factorial.json": {"kind": "tower-series", "body": {
+        "tower": {"preset": "factorial"},
+        "rule": {"monomial": {"thetas": [2, 3], "rows": [{"beta": "1", "k": [1, 0]},
+                                                         {"beta": "-1/2", "k": [0, 1]}]}}}},
+    "explicit.json": {"kind": "tower-series", "body": {
+        "tower": {"masses": ["1/4", "1/4", "1/8"]},
+        "rule": {"power": {"theta": "3/2", "subseq": "all"}}}},
+    # G = 7 S - 6 S^2 jumps by exactly zero at 1/2, so no budget certifies it
+    "g76.json": {"kind": "jump-polynomial", "body": {
+        "basis": [1], "G": [{"terms": [{"c": "7", "exp": [0]}]},
+                            {"terms": [{"c": "-6", "exp": [0]}]}]}},
+}
+
+SHAPE_MATRIX = [
+    (("norm", "bv", "--spec", "shift.json"), 0,
+     "01d45694ff4a8a790eba9cffaf3dee19a8b885c403b3d1503dca4c63c2818375"),
+    (("fn", "eval", "--spec", "shift.json", "--at", "1/3"), 0,
+     "cd6dfde23be82f496d6f4e71540c87fe8bde943b8de26a0304864a6a46c6f7ce"),
+    (("norm", "bv", "--spec", "wrapped.json"), 0,
+     "23fa9a195048357376e1cb133441f4fe6cce472048d8f8bf866337e7a5d6378b"),
+    (("fn", "eval", "--spec", "wrapped.json", "--at", "1/3"), 0,
+     "f819333a75e92931a3e7149fbe38d340c7d49ece3ac6ad0be1de96ebb3ca0727"),
+    (("certify", "jump-dense", "--spec", "wrapped.json", "--interval", "2/5", "1/2"), 1,
+     "f6ce8bf3544b79bb6d4d26116675209384262bb6907c7934b1234bb44494d23b"),
+    (("norm", "bv", "--spec", "staircase.json"), 0,
+     "b86fcdecf3638a0b15ec9e94dc5ca56effe2d5c44f21431d1a0d5a254e305ef2"),
+    (("fn", "eval", "--spec", "staircase.json", "--at", "1/3"), 0,
+     "3f053c6e1a773ce5b9b7b802ed02b1af12d5b49d3182a4231838c724a3dba2fa"),
+    (("certify", "jump-dense", "--spec", "staircase.json", "--interval", "2/5", "1/2"), 0,
+     "20f3c47c8cae2044f7a75416a04f6784687baf8555c4829b85f67816d836108a"),
+    (("report", "staircase.json"), 0,
+     "7d3858044fc352a34397de2bae38999130198797790888e81ff4dd4ef10e399a"),
+    (("fn", "eval", "--spec", "host.json", "--at", "3/10"), 0,
+     "069b9cc1936b403af3db174a5ebd25fe6cee8c78aa829dc1e20fbecc262741d4"),
+    (("fn", "integrate", "--spec", "host.json", "--from", "0", "--to", "1"), 0,
+     "26f340d84f1e3ee2a01fd9b679a0bf92d1cc82ee65de49c8d2d684d9030d96a3"),
+    (("norm", "alexiewicz", "--spec", "host.json"), 0,
+     "b3d4a0fd895376b0a99daf09461a88982f4a37a7a8cea95ce4b2d1cc58cfcd6e"),
+    (("certify", "non-lebesgue", "--spec", "host.json", "--bound", "4"), 0,
+     "3a68e9b219c17adcacc3a88f7d517a8d766f52ee19db5a46b8be2109621688f8"),
+    (("report", "host.json"), 0,
+     "76e2f2ad3ae523161d25f130a34060c880a8744d6c075808323b460435c18169"),
+    (("tower", "build", "--spec", "factorial.json", "--budget", "maxgen=6,depth=12"), 0,
+     "368c6ccda1b0ef50ee34c4dcb0fd812e1075becfc8b4146a89242653577549cf"),
+    (("norm", "l1", "--spec", "factorial.json"), 0,
+     "8f3e90b2778090c946446e8c0244b7860b14bed31f86c7675ba5668f2215af83"),
+    (("fn", "eval", "--spec", "factorial.json", "--at", "3/8"), 0,
+     "fc650b169f4f6f240ff9801efe031e0b496900e2d23fe789c3e7bed48136ee49"),
+    (("certify", "unbounded", "--spec", "factorial.json", "--interval", "3/8", "5/8",
+      "--bound", "100"), 0,
+     "bda46f46efdfe4b3e63b54ced1e94b9c63f52b804cb895ea0ce137edfaa4864d"),
+    (("report", "factorial.json"), 0,
+     "16f71063ad096d5eebc89e778ca6cd8380d303c4d6aa3af69af1bc44c5d7fa08"),
+    (("tower", "build", "--spec", "explicit.json", "--budget", "maxgen=3"), 0,
+     "fdf3ebd1e0dc521b89841f5c03a331b128e9f7c0b672d05e4962607336fa4803"),
+    (("tower", "show", "--spec", "explicit.json", "--generation", "2",
+      "--budget", "depth=2"), 0,
+     "9e399114bf5e33385a83d053e230e1ae9518b8984ba480b40ac47ebd9a985da9"),
+    (("norm", "l1", "--spec", "explicit.json"), 0,
+     "07542d795394bf7c6ffea93cdd826ed6bba2ca1c03dc10eec607378193899259"),
+    (("norm", "l1", "--spec", "explicit.json", "--budget", "terms=2"), 0,
+     "7f6db61c501d86eb7b7a3dda825589ae9c310657a8f1ff675eea4553e4ed82cd"),
+    (("fn", "eval", "--spec", "explicit.json", "--at", "5/16"), 0,
+     "2a2d463e920acc255d1080f60180d0bddaadf0cbc6d5d1d184023b2bac3dce78"),
+    (("certify", "unbounded", "--spec", "explicit.json", "--interval", "3/8", "5/8",
+      "--bound", "2"), 0,
+     "abecd98129f90ff96add666bf0c976a67c9f8c937184d670f9d373741343d90f"),
+    (("report", "explicit.json", "--budget", "maxgen=3"), 0,
+     "8ce1bd08c7ba4c5b30b03f0376e11188ee961eb6255f20eee024ccb3fa000f2e"),
+]
+
+
 def _strip(data):
     if isinstance(data, dict):
         return {k: _strip(v) for k, v in data.items() if k not in VOLATILE}
@@ -143,3 +225,63 @@ def test_cli_output_is_pinned(argv, code, digest, capsys, monkeypatch):
     got = main(list(argv))
     out = capsys.readouterr().out
     assert (got, stripped_digest(out)) == (code, digest)
+
+
+@pytest.fixture
+def spec_dir(tmp_path, monkeypatch):
+    """The bundled specs and SHAPES in one working directory."""
+    for path in SPECS.glob("*.json"):
+        (tmp_path / path.name).write_text(path.read_text())
+    for name, data in SHAPES.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    monkeypatch.chdir(tmp_path)
+
+
+@pytest.mark.parametrize("argv,code,digest", SHAPE_MATRIX,
+                         ids=[" ".join(r[0]) for r in SHAPE_MATRIX])
+def test_spec_shape_output_is_pinned(argv, code, digest, capsys, spec_dir):
+    got = main(list(argv))
+    out = capsys.readouterr().out
+    assert (got, stripped_digest(out)) == (code, digest)
+
+
+def _verdicts(data):
+    """Every "verdict" value anywhere in an output."""
+    if isinstance(data, dict):
+        yield from ([data["verdict"]] if "verdict" in data else [])
+        for value in data.values():
+            yield from _verdicts(value)
+    elif isinstance(data, list):
+        for value in data:
+            yield from _verdicts(value)
+
+
+def _is_inconclusive(data) -> bool:
+    return (set(data) == {"verdict", "reason", "budget"} and data["verdict"] == INCONCLUSIVE
+            and isinstance(data["budget"], dict) and bool(data["budget"]))
+
+
+OUTCOME_REQUESTS = ([argv for argv, _, _ in MATRIX + SHAPE_MATRIX]
+                    + [("report", "--bundled"), ("report", "g76.json")])
+
+
+@pytest.mark.parametrize("argv", OUTCOME_REQUESTS, ids=[" ".join(a) for a in OUTCOME_REQUESTS])
+def test_every_outcome_has_one_shape(argv, capsys, spec_dir):
+    """Exit 2 prints an InconclusiveAtBudget naming a budget, and nothing else does.
+
+    A report carries it as the payload of each inconclusive entry; no
+    output anywhere carries a second inconclusive verdict.
+    """
+    code = main(list(argv))
+    out = json.loads(capsys.readouterr().out)
+    assert code in (0, 1, 2)
+    assert not {"unknown", "inconclusive"} & set(_verdicts(out))
+    if "entries" in out:  # a report: one payload per check
+        inconclusive = [e["payload"] for e in out["entries"]
+                        if e["payload"].get("verdict") == INCONCLUSIVE]
+        assert all(_is_inconclusive(p) for p in inconclusive)
+        assert code == 1 or bool(inconclusive) == (code == 2)
+    elif code == 2:
+        assert _is_inconclusive(out)
+    else:
+        assert INCONCLUSIVE not in _verdicts(out)

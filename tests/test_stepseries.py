@@ -16,6 +16,7 @@ from realcert.certificates import CERTIFIED, InconclusiveAtBudget
 from realcert.stepseries import (
     DivergentTail,
     DominanceIndex,
+    EvalVerdict,
     IntervalTooShort,
     MonomialCombination,
     MonomialRow,
@@ -99,16 +100,33 @@ def test_eval_zero_on_skeleton():
     s = even_tilt_series()
     for x in (Fraction(0), Fraction(1), Fraction(3, 8), Fraction(5, 8)):
         v = eval_series(s, x, maxgen=6, depth=6)
-        assert v.kind == "zero" and v.value == 0
+        assert isinstance(v, EvalVerdict)
+        assert v.as_json()["verdict"] == "zero" and v.as_json()["value"] == "0/1"
         # stability: a deeper budget never contradicts the verdict
-        assert eval_series(s, x, maxgen=20, depth=20).kind == "zero"
+        assert eval_series(s, x, maxgen=20, depth=20) == v
 
 
 def test_eval_center_stays_unknown():
     # 1/2 is the center of every nested hole, never on the skeleton
     v = eval_series(even_tilt_series(), Fraction(1, 2), maxgen=8, depth=8)
-    assert v.kind == "unknown"
-    assert v.generation == 8
+    assert v == InconclusiveAtBudget("inside a generation-8 hole at the generation budget",
+                                     {"maxgen": 8, "depth": 8})
+    # a point in a kept interval runs out of depth instead
+    v = eval_series(even_tilt_series(), Fraction(1, 3), maxgen=8, depth=8)
+    assert v.reason == "still in a kept interval of generation 1 at depth 8"
+
+
+def test_eval_in_last_explicit_hole_is_zero():
+    # 1/2 sits in the central hole of every generation; the third is the last
+    s = StepSeries(TowerSpec("explicit", (Fraction(1, 4), Fraction(1, 4), Fraction(1, 8))),
+                   PowerAlongSubsequence(Fraction(3, 2), "all"))
+    v = eval_series(s, Fraction(1, 2))
+    assert v == EvalVerdict(
+        3, "inside a hole of the last generation 3, which no generation fills")
+    assert v.as_json() == {"verdict": "zero", "detail": v.detail, "value": "0/1",
+                           "generation": 3}
+    # with fewer generations allowed than the tower has, the budget runs out
+    assert isinstance(eval_series(s, Fraction(1, 2), maxgen=2), InconclusiveAtBudget)
 
 
 def test_eval_rejects_outside_points():
@@ -262,7 +280,6 @@ def test_disjoint_family_supports():
 def test_basis_inequality_margin_is_exact():
     fam = disjoint_power_family(Fraction(3, 2), 3)
     got = basis_inequality_check((1, -2, Fraction(1, 3)), 1, 3, fam)
-    assert got.holds
     assert got.margin_lower >= 0
     assert got.right.lo == got.left.lo + got.margin_lower
     assert got.right.hi >= got.left.hi
@@ -275,7 +292,7 @@ def test_basis_inequality_margin_is_exact():
 def test_basis_inequality_random_vectors(coeffs, m1):
     fam = disjoint_power_family(Fraction(3, 2), 4)
     got = basis_inequality_check(coeffs, m1, 4, fam)
-    assert got.holds and got.margin_lower >= 0
+    assert got.margin_lower >= 0
     assert got.right.lo == got.left.lo + got.margin_lower
 
 
