@@ -224,6 +224,10 @@ class TowerSpec:
         """Generation count: len(masses) for an explicit tower, None for the presets."""
         return None if self.masses is None else len(self.masses)
 
+    def upto(self, maxgen: int) -> int:
+        """Last generation a budget of maxgen reaches: an explicit tower ends sooner."""
+        return maxgen if self.generations is None else min(maxgen, self.generations)
+
     def mass(self, j: int) -> Fraction:
         if j < 1:
             raise ValueError(f"generation {j} < 1")
@@ -283,6 +287,11 @@ class TowerSpec:
 
 def _fill(spec: TowerSpec, generation: int, lo: Fraction, hi: Fraction, depth: int) -> CantorApprox:
     """The generation-j component spanning a hole [lo, hi]."""
+    if spec.generations is not None and generation > spec.generations:
+        # no component fills a hole of the last generation, and the series
+        # takes one value per generation, so it is bounded on the tower
+        raise InfeasibleMass(f"the tower has only {spec.generations} generations, so the "
+                             f"series is bounded there; no generation {generation} to drill into")
     return CantorApprox(CantorSpec(lo, hi, spec.rho(generation) * (hi - lo)), depth)
 
 
@@ -381,7 +390,8 @@ def find_component(
     host components by construction).  A hole covering T forces descent
     into its filling component; a hole straddling T's edge shrinks T to
     the larger remaining piece, at least halving it, so the depth budget
-    bounds the whole search.
+    bounds the whole search.  A drill past an explicit tower's last
+    generation raises InfeasibleMass.
     """
     j1, j2 = as_fraction(lo), as_fraction(hi)
     budget = {"maxgen": max_generation, "depth": depth}
@@ -415,7 +425,7 @@ def find_component(
                     if gen + 1 > max_generation:
                         return InconclusiveAtBudget("generation budget exhausted", budget)
                     gen += 1
-                    comp = CantorSpec(g1, g2, spec.rho(gen) * (g2 - g1))
+                    comp = _fill(spec, gen, g1, g2, depth).spec
                 else:
                     # straddles an edge of T: keep the larger piece clear of it
                     left = (t1, min(t2, g1))

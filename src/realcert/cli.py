@@ -241,10 +241,10 @@ def _cmd_tower_build(args):
     spec, series = _single_spec(args, "tower-series")
     tower = series.tower
     budget = _at_ceilings(spec.budget, "tower build")
-    depth, upto = budget["depth"], budget["maxgen"]
+    depth, maxgen = budget["depth"], budget["maxgen"]
     rows = []
     entries = []
-    for j in range(1, upto + 1):
+    for j in range(1, tower.upto(maxgen) + 1):
         approx = tower_generation(tower, j, depth)
         enc = approx.measure_enclosure
         rows.append((j, enc.lo, enc.hi))
@@ -259,7 +259,7 @@ def _cmd_tower_build(args):
         verdict=CERTIFIED,
         payload={"tower": tower.as_json(), "generations": entries,
                  "provenance": spec.provenance()},
-        budget={"depth": depth, "maxgen": upto},
+        budget={"depth": depth, "maxgen": maxgen},
     )
     return EXIT_OK, cert.as_json(), _csv(("index", "lo", "hi"), rows)
 
@@ -525,7 +525,7 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], tuple[int, dict
         def measure() -> tuple[int, dict]:
             capped = _at_ceilings(budget, "report: measure")
             entries = []
-            for j in range(1, capped["maxgen"] + 1):
+            for j in range(1, obj.tower.upto(capped["maxgen"]) + 1):
                 enc = tower_generation(obj.tower, j, capped["depth"]).measure_enclosure
                 entries.append({"generation": j, "measure": enc})
             return EXIT_OK, {"verdict": CERTIFIED, "generations": entries}

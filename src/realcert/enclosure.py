@@ -30,6 +30,13 @@ onto nested dyadic grids and ``pi_const`` onto nested partial-sum
 brackets.  ``sin_pi`` and ``cos_pi`` take their Taylor cutoff and grid
 from the requested precision and do not keep this contract: a higher
 precision can return an enclosure that is tighter but not nested.
+
+Repeated work is memoised, and every memo returns the value a fresh
+evaluation would: the pi and e brackets, ``exp_enc``'s evaluations
+(``_naive_exp``, at most 16384 entries) and the point values of
+``sin_pi`` (``_sin_pi_point``, at most 4096 entries).  The last one serves
+the Alexiewicz branch and bound, whose adjacent boxes share their phase
+endpoints.
 """
 
 from __future__ import annotations
@@ -476,6 +483,9 @@ def sin_pi(c: "Enclosure | RationalLike", precision: int = 64) -> Enclosure:
     return Enclosure(max(lo, -ONE), min(hi, ONE))
 
 
+# adjacent boxes of a bisection share their phase endpoints, so the
+# branch and bound asks for most points more than once
+@lru_cache(maxsize=1 << 12)
 def _sin_pi_point(c: Fraction, precision: int) -> Enclosure:
     r = c - 2 * (c.numerator // (2 * c.denominator))  # c mod 2, in [0, 2)
     if r == 0 or r == 1:

@@ -483,6 +483,14 @@ def alexiewicz_norm(obj: "OscCombination | Oscillator", tol: RationalLike,
     norm.  The countable zero set never traps the search because point
     evaluations keep raising the floor near the true peak.  More than
     queue_limit live boxes ends the search inconclusive.
+
+    Every box lies inside one support, where the primitive is |alpha_k|
+    times the unit primitive on the box's unit chart; other supports meet
+    it at most in an endpoint, where they vanish exactly.  A box is node
+    n = 2^d + i of its support's bisection tree, charted to
+    [i/2^d, (i+1)/2^d] and valued at the chart midpoint.  Support k has
+    width 2^-(k+1), so the integers (k + 1 + d, n) order boxes widest
+    first, then leftmost; a single oscillator uses (d, n).
     """
     tol = as_fraction(tol)
     if tol <= 0:
@@ -490,49 +498,52 @@ def alexiewicz_norm(obj: "OscCombination | Oscillator", tol: RationalLike,
     if isinstance(obj, OscCombination):
         if obj.is_zero:
             return Enclosure(ZERO, ZERO)
-        spans = [OscCombination.support(k) for k, _ in obj.alphas]
+        spans = [(k + 1, abs(alpha)) for k, alpha in obj.alphas]
     else:
-        spans = [(obj.lo, obj.hi)]
+        spans = [(0, ONE)]
 
-    def box_bound(lo: Fraction, hi: Fraction) -> Fraction:
-        return abs(obj.primitive_at(Enclosure(lo, hi), precision)).hi
-
-    def point_floor(x: Fraction) -> Fraction:
-        return obj.primitive_at(x, precision + 32).mignitude()
+    def measure(scale: Fraction, n: int) -> tuple[Fraction, Fraction]:
+        # certified |value| at the box midpoint, and a sup bound over the box
+        d = n.bit_length() - 1
+        i = n - (1 << d)
+        t = Fraction(2 * i + 1, 2 << d)
+        point = _unit_branch(t, t, precision + 32, True).mignitude()
+        box = _unit_branch(Fraction(i, 1 << d), Fraction(i + 1, 1 << d), precision, True)
+        return scale * point, scale * box.mag()
 
     floor = ZERO
-    # boxes widest first, and the same live boxes by bound, largest first;
-    # a box popped from heap leaves live, and its by_bound entry goes
-    # stale and drops off the top when it surfaces
-    heap: list[tuple[Fraction, Fraction, Fraction, Fraction]] = []
-    by_bound: list[tuple[Fraction, Fraction, Fraction]] = []
-    live: set[tuple[Fraction, Fraction]] = set()
+    # boxes (rank, n) widest first, and the same live boxes by bound,
+    # largest first; a box popped from heap leaves live, and its by_bound
+    # entry goes stale and drops off the top when it surfaces
+    heap: list[tuple[int, int, Fraction, Fraction]] = []
+    by_bound: list[tuple[Fraction, int, int]] = []
+    live: set[tuple[int, int]] = set()
 
-    def push(lo: Fraction, hi: Fraction, bound: Fraction) -> None:
-        heapq.heappush(heap, (-(hi - lo), lo, hi, bound))
-        heapq.heappush(by_bound, (-bound, lo, hi))
-        live.add((lo, hi))
+    def push(rank: int, n: int, scale: Fraction, bound: Fraction) -> None:
+        heapq.heappush(heap, (rank, n, scale, bound))
+        heapq.heappush(by_bound, (-bound, rank, n))
+        live.add((rank, n))
 
-    for lo, hi in spans:
-        floor = max(floor, point_floor((lo + hi) / 2))
-        push(lo, hi, box_bound(lo, hi))
+    for rank, scale in spans:
+        point, bound = measure(scale, 1)
+        floor = max(floor, point)
+        push(rank, 1, scale, bound)
     while heap:
-        while (by_bound[0][1], by_bound[0][2]) not in live:
+        while by_bound[0][1:] not in live:
             heapq.heappop(by_bound)
         # floor may have risen past a stale box bound since its push
         ceiling = max(-by_bound[0][0], floor)
         if ceiling - floor <= tol:
             return Enclosure(floor, ceiling)
-        _, lo, hi, bound = heapq.heappop(heap)
-        live.discard((lo, hi))
+        rank, n, scale, bound = heapq.heappop(heap)
+        live.discard((rank, n))
         if bound <= floor:
             continue
-        mid = (lo + hi) / 2
-        for a, b in ((lo, mid), (mid, hi)):
-            floor = max(floor, point_floor((a + b) / 2))
-            child = box_bound(a, b)
-            if child > floor:
-                push(a, b, child)
+        for child in (2 * n, 2 * n + 1):
+            point, child_bound = measure(scale, child)
+            floor = max(floor, point)
+            if child_bound > floor:
+                push(rank + 1, child, scale, child_bound)
         if len(heap) > queue_limit:
             return InconclusiveAtBudget(
                 f"{len(heap)} boxes alive at tolerance {tol}",

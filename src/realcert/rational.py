@@ -9,6 +9,7 @@ that parsing needs no special cases.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterable
 
 RationalLike = Fraction | int | str
 
@@ -54,6 +55,23 @@ def floor_scaled(q: Fraction, bits: int) -> int:
 def ceil_scaled(q: Fraction, bits: int) -> int:
     """ceil(q * 2**bits), for bits >= 0."""
     return -((-q.numerator << bits) // q.denominator)
+
+
+def dyadic_sum(terms: Iterable[Fraction]) -> Fraction:
+    """Exact sum, adding dyadic summands as integers on one grid.
+
+    Fraction addition runs a gcd on every step, which dominates long sums
+    of dyadic rationals with large denominators.  When every denominator
+    is a power of two, the numerators are shifted onto the largest one and
+    a single Fraction is built at the end.  Any other denominator falls
+    back to the plain Fraction sum.
+    """
+    terms = list(terms)
+    if any(q.denominator & (q.denominator - 1) for q in terms):
+        return sum(terms, ZERO)
+    bits = max((q.denominator.bit_length() for q in terms), default=1) - 1
+    return Fraction(sum(q.numerator << (bits + 1 - q.denominator.bit_length())
+                        for q in terms), 1 << bits)
 
 
 def dyadic_floor(q: Fraction, bits: int) -> Fraction:

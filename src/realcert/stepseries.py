@@ -28,7 +28,8 @@ from .cantor import (
 )
 from .certificates import Certificate, CERTIFIED, InconclusiveAtBudget
 from .enclosure import Enclosure
-from .rational import HALF, ONE, ZERO, RationalLike, as_fraction, format_fraction
+from .rational import (HALF, ONE, ZERO, RationalLike, as_fraction, dyadic_sum,
+                       format_fraction)
 
 __all__ = [
     "BasisComparison",
@@ -321,7 +322,8 @@ def l1_norm(s: StepSeries, terms: int = 64, depth: int = 20) -> Enclosure:
     """
     if terms < 1:
         raise ValueError("need at least one term")
-    lo = hi = ZERO
+    lows: list[Fraction] = []
+    highs: list[Fraction] = []
     count = s.tower.generations
     if isinstance(s.rule, PowerAlongSubsequence):
         limit = s.rule.term_limit
@@ -333,25 +335,25 @@ def l1_norm(s: StepSeries, terms: int = 64, depth: int = 20) -> Enclosure:
                 break  # the explicit tower ends before the subsequence
             c = s.rule.theta**n
             e = tower_generation(s.tower, n, _term_depth(depth, j, c)).measure_enclosure
-            lo += c * e.lo
-            hi += c * e.hi
+            lows.append(c * e.lo)
+            highs.append(c * e.hi)
             last = n
         if limit is not None and n_terms == limit:
             tail = ZERO  # the series itself is finite
         else:
             tail = _power_tail(s.tower, s.rule.theta, last)
-        return Enclosure(lo, hi + tail)
+        return Enclosure(dyadic_sum(lows), dyadic_sum(highs) + tail)
     # monomial combination: every generation contributes
-    for j in range(1, terms + 1 if count is None else min(terms, count) + 1):
+    for j in range(1, s.tower.upto(terms) + 1):
         v = abs(s.rule.value_at(j))
         e = tower_generation(s.tower, j, _term_depth(depth, j, v)).measure_enclosure
-        lo += v * e.lo
-        hi += v * e.hi
+        lows.append(v * e.lo)
+        highs.append(v * e.hi)
     tail = ZERO
     for r, p in zip(s.rule.rows, s.rule.products):
         if r.beta != 0:
             tail += abs(r.beta) * _power_tail(s.tower, Fraction(p), terms)
-    return Enclosure(lo, hi + tail)
+    return Enclosure(dyadic_sum(lows), dyadic_sum(highs) + tail)
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,18 @@ def test_find_component_budget_exhaustion_is_inconclusive():
     assert got.budget == {"maxgen": 1, "depth": 2}
 
 
+def test_find_component_stops_at_an_explicit_towers_last_generation():
+    spec = TowerSpec("explicit", (Fraction(1, 4), Fraction(1, 4), Fraction(1, 8)))
+    assert [spec.upto(m) for m in (1, 3, 20)] == [1, 3, 3]
+    assert TowerSpec("dyadic").upto(20) == 20
+    # a window inside a generation-3 hole, which no generation fills
+    lo = Fraction(1, 3)
+    with pytest.raises(InfeasibleMass, match="only 3 generations, so the series is bounded"):
+        find_component(spec, lo, lo + Fraction(1, 10**6), max_generation=20, depth=20)
+    got = find_component(spec, Fraction(3, 8), Fraction(5, 8), max_generation=20, depth=20)
+    assert got.generation == 3
+
+
 def test_find_component_rejects_bad_target():
     with pytest.raises(ValueError):
         find_component(TowerSpec("dyadic"), Fraction(1, 2), Fraction(1, 2), max_generation=3, depth=3)

@@ -266,6 +266,27 @@ def test_malformed_explicit_tower_exits_1(capsys, tmp_path, terms):
         assert run(capsys, *argv, "--spec", str(spec)) == (1, error)
 
 
+def test_explicit_tower_stops_at_its_last_generation(capsys, tmp_path):
+    # three feasible generations, run at the default budget (maxgen 20)
+    spec = tmp_path / "tower.json"
+    spec.write_text(json.dumps({"kind": "tower-series", "body": {
+        "tower": {"masses": ["1/4", "1/4", "1/8"]},
+        "rule": {"power": {"theta": "3/2", "subseq": "all"}}}}))
+    code, out = run(capsys, "tower", "build", "--spec", str(spec))
+    assert code == 0 and out["budget"]["maxgen"] == 20
+    assert [g["generation"] for g in out["payload"]["generations"]] == [1, 2, 3]
+    code, out = run(capsys, "report", str(spec))
+    assert code == 0
+    measure = out["entries"][0]
+    assert measure["claim"] == "measure-enclosure"
+    assert [g["generation"] for g in measure["payload"]["generations"]] == [1, 2, 3]
+    # the largest value is (3/2)^3 = 27/8, so no bar of 100 is ever cleared
+    code, out = run(capsys, "certify", "unbounded", "--spec", str(spec),
+                    "--interval", "3/8", "5/8", "--bound", "100")
+    assert code == 1
+    assert "only 3 generations" in out["error"] and "bounded" in out["error"]
+
+
 def test_malformed_spec_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

@@ -15,6 +15,7 @@ from realcert.enclosure import (
     Enclosure,
     NegativeSqrtDomain,
     _naive_exp,
+    _sin_pi_point,
     cos_pi,
     exp_enc,
     pi_const,
@@ -210,3 +211,22 @@ def test_sin_pi_interval_contains_midpoint(lo, width):
     mid = (box.lo + box.hi) / 2
     assert holds(out, mp.sin(mp.pi * as_mp(mid)))
     assert Fraction(-1) <= out.lo and out.hi <= Fraction(1)
+
+
+@given(st.lists(st.tuples(st.fractions(min_value=-8, max_value=8, max_denominator=999),
+                          st.integers(min_value=8, max_value=160)), min_size=1, max_size=12),
+       st.fractions(min_value=0, max_value=1, max_denominator=500))
+@settings(max_examples=80, deadline=None)
+def test_sin_pi_point_memo_returns_fresh_values(points, width):
+    # every point twice, so the second of each pair is a warm hit
+    _sin_pi_point.cache_clear()
+    cold = [_sin_pi_point(c, p) for c, p in points + points]
+    warm = [_sin_pi_point(c, p) for c, p in points]
+    fresh = [_sin_pi_point.__wrapped__(c, p) for c, p in points]
+    assert cold == fresh + fresh and warm == fresh
+    # interval inputs read both endpoints through the memo
+    c, p = points[0]
+    box = Enclosure(c, c + width)
+    _sin_pi_point.cache_clear()
+    assert sin_pi(box, p) == sin_pi(box, p)
+    assert _sin_pi_point.cache_info().hits > 0

@@ -7,6 +7,7 @@ its own argument-reduction error near exact-zero phases is about 2^-175,
 hence the slack constant.
 """
 
+import heapq
 import random
 from fractions import Fraction
 
@@ -15,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from realcert.certificates import CERTIFIED, InconclusiveAtBudget
-from realcert.checklist import _draw_combinations
-from realcert.enclosure import Enclosure
+from realcert.checklist import _check_alexiewicz, _draw_combinations, _seeded
+from realcert.enclosure import Enclosure, _sin_pi_point
 from realcert.oscillator import (
     Extremum,
     NonLebesgueWitness,
@@ -395,6 +396,111 @@ def test_alexiewicz_same_on_cold_and_warm_branch_memo():
     # a warm memo does not let the search outrun its queue budget
     tight = alexiewicz_norm(OscCombination.of(combos[-1]), Fraction(1, 10**9), queue_limit=1)
     assert isinstance(tight, InconclusiveAtBudget)
+
+
+def reference_alexiewicz(obj, tol, precision=64, queue_limit=100_000):
+    """Reference: the branch and bound on x-boxes through primitive_at."""
+    tol = Fraction(tol)
+    if isinstance(obj, OscCombination):
+        if obj.is_zero:
+            return Enclosure(Fraction(0), Fraction(0))
+        spans = [OscCombination.support(k) for k, _ in obj.alphas]
+    else:
+        spans = [(obj.lo, obj.hi)]
+
+    def box_bound(lo, hi):
+        return abs(obj.primitive_at(Enclosure(lo, hi), precision)).hi
+
+    def point_floor(x):
+        return obj.primitive_at(x, precision + 32).mignitude()
+
+    floor = Fraction(0)
+    heap, by_bound, live = [], [], set()
+
+    def push(lo, hi, bound):
+        heapq.heappush(heap, (-(hi - lo), lo, hi, bound))
+        heapq.heappush(by_bound, (-bound, lo, hi))
+        live.add((lo, hi))
+
+    for lo, hi in spans:
+        floor = max(floor, point_floor((lo + hi) / 2))
+        push(lo, hi, box_bound(lo, hi))
+    while heap:
+        while (by_bound[0][1], by_bound[0][2]) not in live:
+            heapq.heappop(by_bound)
+        ceiling = max(-by_bound[0][0], floor)
+        if ceiling - floor <= tol:
+            return Enclosure(floor, ceiling)
+        _, lo, hi, bound = heapq.heappop(heap)
+        live.discard((lo, hi))
+        if bound <= floor:
+            continue
+        mid = (lo + hi) / 2
+        for a, b in ((lo, mid), (mid, hi)):
+            floor = max(floor, point_floor((a + b) / 2))
+            child = box_bound(a, b)
+            if child > floor:
+                push(a, b, child)
+        if len(heap) > queue_limit:
+            return InconclusiveAtBudget(
+                f"{len(heap)} boxes alive at tolerance {tol}",
+                {"tolerance": tol, "queue_limit": queue_limit})
+    return Enclosure(floor, floor)
+
+
+_ALPHAS = st.builds(lambda mag, neg: -mag if neg else mag,
+                    st.fractions(min_value=Fraction(1, 4), max_value=5, max_denominator=64),
+                    st.booleans())
+_TOLERANCES = st.integers(min_value=1, max_value=4).flatmap(
+    lambda e: st.integers(min_value=1, max_value=9).map(lambda m: Fraction(m, 10**e)))
+
+
+@given(st.dictionaries(st.integers(min_value=1, max_value=8), _ALPHAS,
+                       min_size=1, max_size=8),
+       _TOLERANCES, st.integers(min_value=32, max_value=128),
+       st.integers(min_value=1, max_value=50))
+@settings(max_examples=60, deadline=None)
+def test_alexiewicz_matches_reference_on_combinations(coeffs, tol, precision, queue_limit):
+    c = OscCombination.of(coeffs)
+    got = alexiewicz_norm(c, tol, precision, queue_limit)
+    assert got.as_json() == reference_alexiewicz(c, tol, precision, queue_limit).as_json()
+
+
+@given(st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=97),
+       st.fractions(min_value=Fraction(1, 50), max_value=1, max_denominator=97),
+       st.sampled_from(("primitive", "derivative")),
+       _TOLERANCES, st.integers(min_value=32, max_value=128),
+       st.integers(min_value=1, max_value=50))
+@settings(max_examples=40, deadline=None)
+def test_alexiewicz_matches_reference_on_single_oscillators(lo, length, kind, tol, precision,
+                                                             queue_limit):
+    o = Oscillator(lo, min(lo + length, Fraction(1)), kind=kind)
+    got = alexiewicz_norm(o, tol, precision, queue_limit)
+    assert got.as_json() == reference_alexiewicz(o, tol, precision, queue_limit).as_json()
+
+
+def test_alexiewicz_matches_reference_at_the_default_queue():
+    cases = [(OscCombination.of({1: Fraction(-5, 2), 2: 3, 4: Fraction(-1, 3)}),
+              Fraction(1, 10**4), 96),
+             (OscCombination.of({3: Fraction(7, 4), 6: Fraction(-7, 4)}), Fraction(1, 1000), 64),
+             (Oscillator(Fraction(1, 3), Fraction(5, 7), "primitive"), Fraction(1, 10**4), 128),
+             (Oscillator(Fraction(2, 9), Fraction(4, 9)), Fraction(1, 100), 32)]
+    for obj, tol, precision in cases:
+        got = alexiewicz_norm(obj, tol, precision)
+        assert isinstance(got, Enclosure)
+        assert got == reference_alexiewicz(obj, tol, precision)
+
+
+def test_check_alexiewicz_sin_pi_effort():
+    # the bisection's children share phase endpoints with their parent
+    # and their siblings, so most kernel points are asked for again
+    _unit_branch.cache_clear()
+    _sin_pi_point.cache_clear()
+    code, _ = _check_alexiewicz((2, 3), _draw_combinations(_seeded(), 3))
+    assert code == 0
+    info = _sin_pi_point.cache_info()
+    assert info.misses <= 450
+    assert info.hits > info.misses
 
 
 def test_alexiewicz_rejects_bad_tolerance():
