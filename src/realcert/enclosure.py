@@ -31,12 +31,21 @@ brackets.  ``sin_pi`` and ``cos_pi`` take their Taylor cutoff and grid
 from the requested precision and do not keep this contract: a higher
 precision can return an enclosure that is tighter but not nested.
 
+``sin_pi`` works on integers below its API.  ``_sin_pi_fx`` evaluates
+sin(pi * n/d) for integers n and d as an integer bracket on the
+2**-(precision + 36) grid; the reduction modulo 2 and the outward floor
+and ceiling of pi * r are integer divisions.  ``_sin_pi_range`` finds the
+half-integers of an interval with integer arithmetic and bounds the
+rest by the endpoint values.  ``sin_pi``, ``cos_pi`` and the
+oscillator's derivative branch run through it and build Fractions only
+for the enclosures they return.
+
 Repeated work is memoised, and every memo returns the value a fresh
 evaluation would: the pi and e brackets, ``exp_enc``'s evaluations
 (``_naive_exp``, at most 16384 entries) and the point values of
-``sin_pi`` (``_sin_pi_point``, at most 4096 entries).  The last one serves
-the Alexiewicz branch and bound, whose adjacent boxes share their phase
-endpoints.
+``sin_pi`` (``_sin_pi_fx``, keyed by the integers (n, d, precision), at
+most 4096 entries).  The last one serves the Alexiewicz branch and
+bound, whose adjacent boxes share their phase endpoints.
 """
 
 from __future__ import annotations
@@ -327,12 +336,6 @@ def _taylor_sin_fx(rlo: int, rhi: int, w: int, bits: int) -> tuple[int, int]:
     return (max(s_lo - bound, -one_fx), min(s_hi + bound, one_fx))
 
 
-def _taylor_sin(rlo: Fraction, rhi: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    w = bits + 32
-    lo, hi = _taylor_sin_fx(floor_scaled(rlo, w), ceil_scaled(rhi, w), w, bits)
-    return (Fraction(lo, 1 << w), Fraction(hi, 1 << w))
-
-
 # ---------------------------------------------------------------------------
 # exp
 # ---------------------------------------------------------------------------
@@ -462,49 +465,70 @@ def sin_pi(c: "Enclosure | RationalLike", precision: int = 64) -> Enclosure:
     """
     if not isinstance(c, Enclosure):
         return _sin_pi_point(as_fraction(c), precision)
-    if c.is_point:
-        return _sin_pi_point(c.lo, precision)
-    if c.width >= 2:
-        return Enclosure(-ONE, ONE)
-    has_max = False
-    has_min = False
-    n = -((-2 * c.lo.numerator) // c.lo.denominator)  # ceil(2*lo)
-    while Fraction(n, 2) <= c.hi:
-        if n % 2:
-            if n % 4 == 1:
-                has_max = True
-            else:
-                has_min = True
-        n += 1
-    a = _sin_pi_point(c.lo, precision)
-    b = _sin_pi_point(c.hi, precision)
-    lo = -ONE if has_min else min(a.lo, b.lo)
-    hi = ONE if has_max else max(a.hi, b.hi)
-    return Enclosure(max(lo, -ONE), min(hi, ONE))
+    lo, hi, w = _sin_pi_range(c.lo.numerator, c.lo.denominator,
+                              c.hi.numerator, c.hi.denominator, precision)
+    return Enclosure(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
+
+
+def _sin_pi_range(lo_n: int, lo_d: int, hi_n: int, hi_d: int,
+                  precision: int) -> tuple[int, int, int]:
+    """sin(pi * c) over lo_n/lo_d <= c <= hi_n/hi_d as [lo, hi] * 2**-w.
+
+    Denominators are positive and need not be in lowest terms.  The sine
+    takes its extreme values inside the interval only at half-integers,
+    which the scan finds in integers; otherwise the endpoints bound it.
+    """
+    if lo_n * hi_d == hi_n * lo_d:
+        return _sin_pi_fx(lo_n, lo_d, precision)
+    w = precision + 36
+    if hi_n * lo_d - lo_n * hi_d >= 2 * lo_d * hi_d:  # width >= 2
+        return (-1 << w, 1 << w, w)
+    has_max = has_min = False
+    for k in range(-((-2 * lo_n) // lo_d), (2 * hi_n) // hi_d + 1):  # k/2 in range
+        if k % 4 == 1:
+            has_max = True
+        elif k % 4 == 3:
+            has_min = True
+    if has_max and has_min:
+        return (-1 << w, 1 << w, w)
+    a_lo, a_hi, _ = _sin_pi_fx(lo_n, lo_d, precision)
+    b_lo, b_hi, _ = _sin_pi_fx(hi_n, hi_d, precision)
+    return (-1 << w if has_min else min(a_lo, b_lo),
+            1 << w if has_max else max(a_hi, b_hi), w)
 
 
 # adjacent boxes of a bisection share their phase endpoints, so the
 # branch and bound asks for most points more than once
 @lru_cache(maxsize=1 << 12)
-def _sin_pi_point(c: Fraction, precision: int) -> Enclosure:
-    r = c - 2 * (c.numerator // (2 * c.denominator))  # c mod 2, in [0, 2)
-    if r == 0 or r == 1:
-        return Enclosure(ZERO, ZERO)
-    if r == HALF:
-        return Enclosure(ONE, ONE)
-    if r == Fraction(3, 2):
-        return Enclosure(-ONE, -ONE)
+def _sin_pi_fx(n: int, d: int, precision: int) -> tuple[int, int, int]:
+    """sin(pi * n/d), d > 0, as [lo, hi] * 2**-w with w = precision + 36."""
+    bits = precision + 4
+    w = bits + 32
+    r = n % (2 * d)  # n/d mod 2 is r/d, in [0, 2)
+    if r == 0 or r == d:
+        return (0, 0, w)
+    if 2 * r == d:
+        return (1 << w, 1 << w, w)
+    if 2 * r == 3 * d:
+        return (-1 << w, -1 << w, w)
     sign = 1
-    if r > 1:
-        r = r - 1
+    if r > d:
+        r -= d
         sign = -1
-    if r > HALF:
-        r = 1 - r
+    if 2 * r > d:
+        r = d - r
+    # r/d in (0, 1/2): pi * r/d moves onto the 2**-w grid, rounding outward
     plo, phi = _pi_bracket(precision + 8)
-    lo, hi = _taylor_sin(plo * r, phi * r, precision + 4)
+    lo, hi = _taylor_sin_fx((plo.numerator * r << w) // (plo.denominator * d),
+                            -((-phi.numerator * r << w) // (phi.denominator * d)), w, bits)
     if sign < 0:
         lo, hi = -hi, -lo
-    return Enclosure(max(lo, -ONE), min(hi, ONE))
+    return (lo, hi, w)
+
+
+def _sin_pi_point(c: Fraction, precision: int) -> Enclosure:
+    lo, hi, w = _sin_pi_fx(c.numerator, c.denominator, precision)
+    return Enclosure(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
 
 
 def cos_pi(c: "Enclosure | RationalLike", precision: int = 64) -> Enclosure:

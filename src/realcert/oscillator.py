@@ -19,7 +19,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .certificates import CERTIFIED, Certificate, InconclusiveAtBudget
-from .enclosure import Enclosure, cos_pi, pi_const, sin_pi, sqrt_enc
+from .enclosure import Enclosure, _sin_pi_range, pi_const, sin_pi, sqrt_enc
 from .rational import (HALF, ONE, ZERO, RationalLike, as_fraction, dyadic_floor,
                        format_fraction)
 
@@ -67,17 +67,29 @@ def _derivative_half(s_lo: Fraction, s_hi: Fraction, precision: int) -> Enclosur
     # 8 s sin(pi/(4 s^2)) - (2 pi / s) cos(pi/(4 s^2)), s bounded away from 0
     if s_lo <= 0:
         raise UnboundedSpan("derivative is unbounded approaching the edge")
-    s = Enclosure(s_lo, s_hi)
-    sq = s.square() * 4
-    phase = Enclosure(1 / sq.hi, 1 / sq.lo)
-    swing = 8 * s * sin_pi(phase, precision)
-    pull = 2 * pi_const(precision) * (1 / s) * cos_pi(phase, precision)
-    return swing - pull
+    # on integers, s = a/b: each end below is the exact rational that
+    # interval arithmetic gives, and one Fraction is built per end
+    a_lo, b_lo = s_lo.numerator, s_lo.denominator
+    a_hi, b_hi = s_hi.numerator, s_hi.denominator
+    p_lo, p_hi = (b_hi * b_hi, 4 * a_hi * a_hi), (b_lo * b_lo, 4 * a_lo * a_lo)  # phase ends
+    sin_lo, sin_hi, w = _sin_pi_range(*p_lo, *p_hi, precision)
+    # cos(pi c) = sin(pi (c + 1/2))
+    cos_lo, cos_hi, _ = _sin_pi_range(2 * p_lo[0] + p_lo[1], 2 * p_lo[1],
+                                      2 * p_hi[0] + p_hi[1], 2 * p_hi[1], precision)
+    # swing = 8 s sin, s > 0: the sign of each sine end picks its end of s
+    x_a, x_b = (a_lo, b_lo) if sin_lo >= 0 else (a_hi, b_hi)
+    y_a, y_b = (a_hi, b_hi) if sin_hi >= 0 else (a_lo, b_lo)
+    # pull = (2 pi / s) cos, with 2 pi / s in [2 pi_lo / s_hi, 2 pi_hi / s_lo]
+    pi = pi_const(precision)
+    g_lo = (2 * pi.lo.numerator * b_hi, pi.lo.denominator * a_hi)
+    g_hi = (2 * pi.hi.numerator * b_lo, pi.hi.denominator * a_lo)
+    u_n, u_d = g_lo if cos_lo >= 0 else g_hi
+    v_n, v_d = g_hi if cos_hi >= 0 else g_lo
+    # swing - pull, every sine and cosine end on the 2**-w grid
+    return Enclosure(Fraction(8 * x_a * sin_lo * v_d - v_n * cos_hi * x_b, (x_b * v_d) << w),
+                     Fraction(8 * y_a * sin_hi * u_d - u_n * cos_lo * y_b, (y_b * u_d) << w))
 
 
-# every support's chart maps its dyadic boxes onto the same unit-chart
-# boxes, so the branch and bound asks for each one many times over
-@lru_cache(maxsize=1 << 11)
 def _unit_branch(t_lo: Fraction, t_hi: Fraction, precision: int,
                  primitive: bool) -> Enclosure:
     """Hull of the two half-branches over [t_lo, t_hi] on the unit chart."""
@@ -95,6 +107,25 @@ def _unit_branch(t_lo: Fraction, t_hi: Fraction, precision: int,
     for piece in parts[1:]:
         out = out.hull(piece)
     return out
+
+
+# every support's chart maps its dyadic boxes onto the same unit-chart
+# boxes, so the branch and bound asks for each one many times over; the
+# integer key costs a memo hit no Fraction hash
+@lru_cache(maxsize=1 << 11)
+def _unit_measure(n: int, precision: int) -> tuple[Fraction, Fraction]:
+    """Unit primitive on node n = 2^d + i of the bisection of [0, 1].
+
+    Returns the certified |value| at the box midpoint (2i+1)/2^(d+1),
+    taken at precision + 32, and a sup bound of |value| over the box
+    [i/2^d, (i+1)/2^d].
+    """
+    d = n.bit_length() - 1
+    i = n - (1 << d)
+    t = Fraction(2 * i + 1, 2 << d)
+    point = _unit_branch(t, t, precision + 32, True).mignitude()
+    box = _unit_branch(Fraction(i, 1 << d), Fraction(i + 1, 1 << d), precision, True)
+    return point, box.mag()
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +513,9 @@ def alexiewicz_norm(obj: "OscCombination | Oscillator", tol: RationalLike,
     the best certified point value, and the surviving bounds squeeze the
     norm.  The countable zero set never traps the search because point
     evaluations keep raising the floor near the true peak.  More than
-    queue_limit live boxes ends the search inconclusive.
+    queue_limit live boxes ends the search inconclusive.  The primitive of
+    a derivative-kind oscillator is the unit hump, so a primitive-kind one,
+    whose own primitive is not evaluated here, is refused.
 
     Every box lies inside one support, where the primitive is |alpha_k|
     times the unit primitive on the box's unit chart; other supports meet
@@ -495,6 +528,8 @@ def alexiewicz_norm(obj: "OscCombination | Oscillator", tol: RationalLike,
     tol = as_fraction(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if isinstance(obj, Oscillator) and obj.kind != "derivative":
+        raise ValueError("witness applies to derivative-kind oscillators")
     if isinstance(obj, OscCombination):
         if obj.is_zero:
             return Enclosure(ZERO, ZERO)
@@ -504,12 +539,8 @@ def alexiewicz_norm(obj: "OscCombination | Oscillator", tol: RationalLike,
 
     def measure(scale: Fraction, n: int) -> tuple[Fraction, Fraction]:
         # certified |value| at the box midpoint, and a sup bound over the box
-        d = n.bit_length() - 1
-        i = n - (1 << d)
-        t = Fraction(2 * i + 1, 2 << d)
-        point = _unit_branch(t, t, precision + 32, True).mignitude()
-        box = _unit_branch(Fraction(i, 1 << d), Fraction(i + 1, 1 << d), precision, True)
-        return scale * point, scale * box.mag()
+        point, box = _unit_measure(n, precision)
+        return scale * point, scale * box
 
     floor = ZERO
     # boxes (rank, n) widest first, and the same live boxes by bound,

@@ -139,6 +139,23 @@ def test_norm_alexiewicz(specs, capsys):
     assert Fraction(68, 100) < lo <= hi < Fraction(69, 100)
 
 
+def test_norm_alexiewicz_refuses_primitive_kind(tmp_path, capsys):
+    # certify non-lebesgue and report already refuse this host with exit 1
+    body = {"lo": "1/4", "hi": "1/2"}
+    for kind, want in (("primitive", 1), ("derivative", 0)):
+        spec = tmp_path / f"{kind}.json"
+        spec.write_text(json.dumps({"kind": "oscillator-combination",
+                                    "body": {**body, "kind": kind},
+                                    "budget": {"tolerance": "1/1000"}}))
+        code, out = run(capsys, "norm", "alexiewicz", "--spec", str(spec))
+        assert code == want
+        if want:
+            assert out == {"error": "witness applies to derivative-kind oscillators"}
+            for argv in (("certify", "non-lebesgue", "--spec", str(spec), "--bound", "1"),
+                         ("report", str(spec))):
+                assert run(capsys, *argv)[0] == 1
+
+
 # -- certify ----------------------------------------------------------------
 
 

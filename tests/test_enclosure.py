@@ -15,13 +15,17 @@ from realcert.enclosure import (
     Enclosure,
     NegativeSqrtDomain,
     _naive_exp,
+    _pi_bracket,
+    _sin_pi_fx,
     _sin_pi_point,
+    _taylor_sin_fx,
     cos_pi,
     exp_enc,
     pi_const,
     sin_pi,
     sqrt_enc,
 )
+from realcert.rational import ceil_scaled, floor_scaled
 
 mp.prec = 160
 
@@ -215,18 +219,111 @@ def test_sin_pi_interval_contains_midpoint(lo, width):
 
 @given(st.lists(st.tuples(st.fractions(min_value=-8, max_value=8, max_denominator=999),
                           st.integers(min_value=8, max_value=160)), min_size=1, max_size=12),
-       st.fractions(min_value=0, max_value=1, max_denominator=500))
+       st.fractions(min_value=0, max_value=Fraction(499, 500), max_denominator=500))
 @settings(max_examples=80, deadline=None)
 def test_sin_pi_point_memo_returns_fresh_values(points, width):
     # every point twice, so the second of each pair is a warm hit
-    _sin_pi_point.cache_clear()
+    _sin_pi_fx.cache_clear()
     cold = [_sin_pi_point(c, p) for c, p in points + points]
     warm = [_sin_pi_point(c, p) for c, p in points]
-    fresh = [_sin_pi_point.__wrapped__(c, p) for c, p in points]
+    fresh = [_sin_pi_fx.__wrapped__(c.numerator, c.denominator, p) for c, p in points]
+    fresh = [Enclosure(Fraction(lo, 1 << w), Fraction(hi, 1 << w)) for lo, hi, w in fresh]
     assert cold == fresh + fresh and warm == fresh
-    # interval inputs read both endpoints through the memo
+    # an interval narrower than 1 holds at most one extremum, so it reads
+    # its endpoints through the memo
     c, p = points[0]
     box = Enclosure(c, c + width)
-    _sin_pi_point.cache_clear()
+    _sin_pi_fx.cache_clear()
     assert sin_pi(box, p) == sin_pi(box, p)
-    assert _sin_pi_point.cache_info().hits > 0
+    assert _sin_pi_fx.cache_info().hits > 0
+
+
+# -- exact oracle: the Fraction sine that the integer kernel replaced ----------
+
+
+def reference_sin_pi_point(c: Fraction, precision: int) -> Enclosure:
+    r = c - 2 * (c.numerator // (2 * c.denominator))  # c mod 2, in [0, 2)
+    if r == 0 or r == 1:
+        return Enclosure(Fraction(0), Fraction(0))
+    if r == Fraction(1, 2):
+        return Enclosure(Fraction(1), Fraction(1))
+    if r == Fraction(3, 2):
+        return Enclosure(Fraction(-1), Fraction(-1))
+    sign = 1
+    if r > 1:
+        r = r - 1
+        sign = -1
+    if r > Fraction(1, 2):
+        r = 1 - r
+    plo, phi = _pi_bracket(precision + 8)
+    bits = precision + 4
+    w = bits + 32
+    lo, hi = _taylor_sin_fx(floor_scaled(plo * r, w), ceil_scaled(phi * r, w), w, bits)
+    lo, hi = Fraction(lo, 1 << w), Fraction(hi, 1 << w)
+    if sign < 0:
+        lo, hi = -hi, -lo
+    return Enclosure(max(lo, Fraction(-1)), min(hi, Fraction(1)))
+
+
+def reference_sin_pi(c: Enclosure, precision: int) -> Enclosure:
+    if c.is_point:
+        return reference_sin_pi_point(c.lo, precision)
+    if c.width >= 2:
+        return Enclosure(Fraction(-1), Fraction(1))
+    has_max = False
+    has_min = False
+    n = -((-2 * c.lo.numerator) // c.lo.denominator)  # ceil(2*lo)
+    while Fraction(n, 2) <= c.hi:
+        if n % 2:
+            if n % 4 == 1:
+                has_max = True
+            else:
+                has_min = True
+        n += 1
+    a = reference_sin_pi_point(c.lo, precision)
+    b = reference_sin_pi_point(c.hi, precision)
+    lo = Fraction(-1) if has_min else min(a.lo, b.lo)
+    hi = Fraction(1) if has_max else max(a.hi, b.hi)
+    return Enclosure(max(lo, Fraction(-1)), min(hi, Fraction(1)))
+
+
+def reference_cos_pi(c: Enclosure, precision: int) -> Enclosure:
+    return reference_sin_pi(Enclosure(c.lo + Fraction(1, 2), c.hi + Fraction(1, 2)), precision)
+
+
+# exact zeros and peaks (integers, half-integers, 3/2 mod 2), their
+# near neighbours, negative values and numerators far beyond the denominator
+SINE_POINTS = st.one_of(
+    st.fractions(min_value=-8, max_value=8, max_denominator=999),
+    st.integers(min_value=-10**6, max_value=10**6).map(Fraction),
+    st.integers(min_value=-10**6, max_value=10**6).map(lambda k: Fraction(2 * k + 1, 2)),
+    st.integers(min_value=-10**6, max_value=10**6).map(lambda k: Fraction(4 * k + 3, 2)),
+    st.builds(lambda k, e: Fraction(2 * k + 1, 2) + Fraction(1, 10**e),
+              st.integers(min_value=-50, max_value=50), st.integers(min_value=1, max_value=40)),
+    st.builds(Fraction, st.integers(min_value=-10**60, max_value=10**60),
+              st.integers(min_value=1, max_value=10**12)),
+)
+PRECISIONS = st.integers(min_value=32, max_value=160)
+
+
+@given(SINE_POINTS, PRECISIONS)
+@settings(max_examples=400, deadline=None)
+def test_sin_pi_point_is_the_fraction_reference(c, precision):
+    want = reference_sin_pi_point(c, precision)
+    assert _sin_pi_point(c, precision) == want
+    assert sin_pi(c, precision) == want
+    assert sin_pi(Enclosure.point(c), precision) == want
+    # the kernel needs no lowest terms: an unreduced key gives the same value
+    lo, hi, w = _sin_pi_fx(3 * c.numerator, 3 * c.denominator, precision)
+    assert Enclosure(Fraction(lo, 1 << w), Fraction(hi, 1 << w)) == want
+
+
+@given(SINE_POINTS, st.one_of(st.fractions(min_value=0, max_value=3, max_denominator=10**4),
+                              st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(3, 2),
+                                               Fraction(2), Fraction(5, 2)])),
+       PRECISIONS)
+@settings(max_examples=300, deadline=None)
+def test_sin_cos_pi_intervals_are_the_fraction_reference(lo, width, precision):
+    box = Enclosure(lo, lo + width)
+    assert sin_pi(box, precision) == reference_sin_pi(box, precision)
+    assert cos_pi(box, precision) == reference_cos_pi(box, precision)

@@ -17,7 +17,8 @@ from mpmath import mp, mpf
 
 from realcert.certificates import CERTIFIED, InconclusiveAtBudget
 from realcert.checklist import _check_alexiewicz, _draw_combinations, _seeded
-from realcert.enclosure import Enclosure, _sin_pi_point
+from realcert import oscillator
+from realcert.enclosure import Enclosure, _sin_pi_fx, pi_const
 from realcert.oscillator import (
     Extremum,
     NonLebesgueWitness,
@@ -27,6 +28,7 @@ from realcert.oscillator import (
     UnboundedSpan,
     ZeroCombination,
     _unit_branch,
+    _unit_measure,
     alexiewicz_norm,
     hake_table,
     kurzweil_integral,
@@ -35,6 +37,7 @@ from realcert.oscillator import (
     restriction_witness,
     slope_bound,
 )
+from test_enclosure import PRECISIONS, reference_cos_pi, reference_sin_pi
 
 mp.prec = 200
 
@@ -388,10 +391,11 @@ def test_alexiewicz_same_on_cold_and_warm_branch_memo():
               {1: Fraction(-5, 2), 2: 3, 4: Fraction(-1, 3)}]
     cold = []
     for coeffs in combos:
-        _unit_branch.cache_clear()
+        _unit_measure.cache_clear()
+        _sin_pi_fx.cache_clear()
         cold.append(alexiewicz_norm(OscCombination.of(coeffs), tol))
     warm = [alexiewicz_norm(OscCombination.of(c), tol) for c in reversed(combos)]
-    assert _unit_branch.cache_info().hits > 0
+    assert _unit_measure.cache_info().hits > 0
     assert cold == warm[::-1]
     # a warm memo does not let the search outrun its queue budget
     tight = alexiewicz_norm(OscCombination.of(combos[-1]), Fraction(1, 10**9), queue_limit=1)
@@ -475,6 +479,10 @@ def test_alexiewicz_matches_reference_on_combinations(coeffs, tol, precision, qu
 def test_alexiewicz_matches_reference_on_single_oscillators(lo, length, kind, tol, precision,
                                                              queue_limit):
     o = Oscillator(lo, min(lo + length, Fraction(1)), kind=kind)
+    if kind == "primitive":
+        with pytest.raises(ValueError, match="derivative-kind"):
+            alexiewicz_norm(o, tol, precision, queue_limit)
+        return
     got = alexiewicz_norm(o, tol, precision, queue_limit)
     assert got.as_json() == reference_alexiewicz(o, tol, precision, queue_limit).as_json()
 
@@ -483,24 +491,97 @@ def test_alexiewicz_matches_reference_at_the_default_queue():
     cases = [(OscCombination.of({1: Fraction(-5, 2), 2: 3, 4: Fraction(-1, 3)}),
               Fraction(1, 10**4), 96),
              (OscCombination.of({3: Fraction(7, 4), 6: Fraction(-7, 4)}), Fraction(1, 1000), 64),
-             (Oscillator(Fraction(1, 3), Fraction(5, 7), "primitive"), Fraction(1, 10**4), 128),
              (Oscillator(Fraction(2, 9), Fraction(4, 9)), Fraction(1, 100), 32)]
     for obj, tol, precision in cases:
         got = alexiewicz_norm(obj, tol, precision)
         assert isinstance(got, Enclosure)
         assert got == reference_alexiewicz(obj, tol, precision)
+    # the primitive of a primitive-kind oscillator is not the unit hump
+    with pytest.raises(ValueError, match="derivative-kind"):
+        alexiewicz_norm(Oscillator(Fraction(1, 3), Fraction(5, 7), "primitive"),
+                        Fraction(1, 10**4), 128)
 
 
 def test_check_alexiewicz_sin_pi_effort():
     # the bisection's children share phase endpoints with their parent
     # and their siblings, so most kernel points are asked for again
-    _unit_branch.cache_clear()
-    _sin_pi_point.cache_clear()
+    _unit_measure.cache_clear()
+    _sin_pi_fx.cache_clear()
     code, _ = _check_alexiewicz((2, 3), _draw_combinations(_seeded(), 3))
     assert code == 0
-    info = _sin_pi_point.cache_info()
+    info = _sin_pi_fx.cache_info()
     assert info.misses <= 450
     assert info.hits > info.misses
+
+
+# -- exact oracle: the unit chart in Fraction arithmetic throughout -----------
+
+
+def reference_derivative_half(s_lo, s_hi, precision):
+    """The derivative branch in Fraction interval arithmetic."""
+    if s_lo <= 0:
+        raise UnboundedSpan("derivative is unbounded approaching the edge")
+    s = Enclosure(s_lo, s_hi)
+    sq = s.square() * 4
+    phase = Enclosure(1 / sq.hi, 1 / sq.lo)
+    swing = 8 * s * reference_sin_pi(phase, precision)
+    pull = 2 * pi_const(precision) * (1 / s) * reference_cos_pi(phase, precision)
+    return swing - pull
+
+
+def _over_fractions(fn, *args):
+    """fn(*args) with the oscillator's sine and derivative branch on Fractions."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oscillator, "sin_pi", reference_sin_pi)
+        patch.setattr(oscillator, "_derivative_half", reference_derivative_half)
+        return fn(*args)
+
+
+def _dyadic_box(d, i):
+    return Fraction(i, 1 << d), Fraction(i + 1, 1 << d)
+
+
+_UNIT = st.fractions(min_value=0, max_value=1, max_denominator=997)
+_CHART_BOXES = st.one_of(
+    # dyadic boxes, as the branch and bound cuts them
+    st.integers(min_value=0, max_value=14).flatmap(
+        lambda d: st.integers(min_value=0, max_value=(1 << d) - 1).map(
+            lambda i: _dyadic_box(d, i))),
+    # points of the 1/2000 grid, as the finite-difference check takes them
+    st.integers(min_value=0, max_value=2000).map(lambda x: (Fraction(x, 2000),) * 2),
+    # non-dyadic intervals
+    st.tuples(_UNIT, _UNIT).map(sorted),
+    # boxes straddling 1/2
+    st.tuples(st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=997),
+              st.fractions(min_value=Fraction(1, 2), max_value=1, max_denominator=997)),
+    # the endpoints 0 and 1, as points and as box ends
+    st.sampled_from([(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)),
+                     (Fraction(0), Fraction(1)), (Fraction(1, 2), Fraction(1, 2))]),
+    _UNIT.map(lambda x: (Fraction(0), x)),
+    _UNIT.map(lambda x: (x, Fraction(1))),
+)
+
+
+@given(_CHART_BOXES, PRECISIONS, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_unit_branch_is_the_fraction_reference(box, precision, primitive):
+    def branch(*args):
+        try:
+            return _unit_branch(*args)
+        except UnboundedSpan:  # a derivative box that reaches 0 or 1
+            return "unbounded"
+
+    args = (*box, precision, primitive)
+    assert branch(*args) == _over_fractions(branch, *args)
+
+
+@given(st.integers(min_value=0, max_value=14).flatmap(
+           lambda d: st.integers(min_value=1 << d, max_value=(2 << d) - 1)),
+       PRECISIONS)
+@settings(max_examples=150, deadline=None)
+def test_unit_measure_is_the_fraction_reference(n, precision):
+    want = _over_fractions(_unit_measure.__wrapped__, n, precision)
+    assert _unit_measure(n, precision) == want
 
 
 def test_alexiewicz_rejects_bad_tolerance():
