@@ -23,16 +23,19 @@ __all__ = [
     "EXIT_FAILED",
     "EXIT_INCONCLUSIVE",
     "EXIT_OK",
+    "FAILED",
     "INCONCLUSIVE",
     "Certificate",
     "InconclusiveAtBudget",
     "jsonable",
     "canonical_dumps",
+    "exit_code",
     "timed_check",
 ]
 
 CERTIFIED = "certified"
 COMPUTED = "computed"
+FAILED = "failed"
 INCONCLUSIVE = "inconclusive-at-budget"
 
 # process exit codes: certified or computed; failed or malformed request;
@@ -40,6 +43,19 @@ INCONCLUSIVE = "inconclusive-at-budget"
 EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_INCONCLUSIVE = 2
+
+
+def exit_code(printed: dict) -> int:
+    """The exit code of a printed outcome, read from its verdict.
+
+    A report exits with the worst code among its entries' payloads.
+    """
+    if "entries" in printed:
+        return max((exit_code(e["payload"]) for e in printed["entries"]), default=EXIT_OK)
+    verdict = printed.get("verdict")
+    if verdict == INCONCLUSIVE:
+        return EXIT_INCONCLUSIVE
+    return EXIT_FAILED if verdict == FAILED else EXIT_OK
 
 
 @dataclass(frozen=True)
@@ -98,9 +114,9 @@ class Certificate:
         }
 
 
-def timed_check(check: Callable[[], tuple[int, Any]]) -> tuple[int, dict]:
-    """Run one check: its exit code, and its JSON payload with wall_ms."""
+def timed_check(check: Callable[[], Any]) -> dict:
+    """Run one check: its outcome as JSON, with wall_ms."""
     started = time.monotonic()
-    code, payload = check()
+    outcome = check()
     wall = int(round(1000 * (time.monotonic() - started)))
-    return code, {"payload": jsonable(payload), "wall_ms": wall}
+    return {"payload": jsonable(outcome), "wall_ms": wall}

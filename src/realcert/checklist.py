@@ -2,9 +2,11 @@
 
 One check per headline property of the constructions.  Each check is a
 function of the samples it checks (windows, indices, coefficient vectors
-or points) and returns an exit code with its payload.  The bundled report
-runs every check on small seeded draws; the acceptance battery runs the
-same functions on larger draws of its own.  Fixed seeds keep the report
+or points) and returns its outcome: a payload whose verdict is certified,
+computed or failed, or an InconclusiveAtBudget.  The exit code is read
+from that verdict (`certificates.exit_code`).  The bundled report runs
+every check on small seeded draws; the acceptance battery runs the same
+functions on larger draws of its own.  Fixed seeds keep the report
 reproducible byte for byte apart from wall-clock fields.
 """
 
@@ -12,12 +14,13 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
+from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .cantor import TowerSpec, tower_generation
-from .certificates import (CERTIFIED, COMPUTED, EXIT_FAILED, EXIT_INCONCLUSIVE,
-                           EXIT_OK, InconclusiveAtBudget, timed_check)
+from .certificates import (CERTIFIED, COMPUTED, FAILED, Certificate,
+                           InconclusiveAtBudget, timed_check)
 from .jumps import (ExpPoly, JumpPolynomial, ShiftCombination, SqrtShift,
                     ZeroPolynomial, enum_rational,
                     expand_generator_polynomial, jump_contribution_table,
@@ -60,7 +63,7 @@ def _even_tilt_series() -> StepSeries:
     return StepSeries(TowerSpec("dyadic"), PowerAlongSubsequence(Fraction(3, 2), "arith:2:2"))
 
 
-def _check_measure() -> tuple[int, dict]:
+def _check_measure() -> dict:
     tower = TowerSpec("dyadic")
     depth = 12
     rows = []
@@ -71,22 +74,20 @@ def _check_measure() -> tuple[int, dict]:
         # exact rational bound: width <= residual(j) * 2^-depth
         tight = enc.hi - enc.lo <= tower.residual(j) * pow2(-depth)
         if not (ok and tight):
-            return EXIT_FAILED, {"verdict": "failed", "generation": j,
-                                 "measure": enc}
+            return {"verdict": FAILED, "generation": j, "measure": enc}
         rows.append({"generation": j, "measure": enc, "target": target})
-    return EXIT_OK, {"verdict": CERTIFIED, "depth": depth, "generations": rows}
+    return {"verdict": CERTIFIED, "depth": depth, "generations": rows}
 
 
-def _check_l1() -> tuple[int, dict]:
+def _check_l1() -> dict:
     enc = l1_norm(_even_tilt_series(), terms=40, depth=20)
     target = Fraction(9, 7)
     ok = enc.lo <= target <= enc.hi and enc.hi - enc.lo <= Fraction(1, 1000)
-    return (EXIT_OK if ok else EXIT_FAILED,
-            {"verdict": COMPUTED if ok else "failed", "norm": enc.outward(96),
-             "closed_form": target})
+    return {"verdict": COMPUTED if ok else FAILED, "norm": enc.outward(96),
+            "closed_form": target}
 
 
-def _check_unbounded(windows: Sequence[tuple[Fraction, Fraction]]) -> tuple[int, dict]:
+def _check_unbounded(windows: Sequence[tuple[Fraction, Fraction]]) -> dict | InconclusiveAtBudget:
     """|series| > 10^6 on a component inside every window of length >= 1/100."""
     series = _even_tilt_series()
     bar = Fraction(10**6)
@@ -97,26 +98,25 @@ def _check_unbounded(windows: Sequence[tuple[Fraction, Fraction]]) -> tuple[int,
     for lo, hi in windows:
         got = unbounded_witness(series, lo, hi, bar, maxgen=maxgen, depth=24)
         if isinstance(got, InconclusiveAtBudget):
-            return EXIT_INCONCLUSIVE, got.as_json()
+            return got
         if not (abs(got.value) > bar and got.generation <= maxgen):
-            return EXIT_FAILED, {"verdict": "failed", "window": [lo, hi],
-                                 "generation": got.generation, "value": got.value}
+            return {"verdict": FAILED, "window": [lo, hi],
+                    "generation": got.generation, "value": got.value}
         witnesses.append({"window": [lo, hi],
                           "generation": got.generation, "value": got.value})
-    return EXIT_OK, {"verdict": CERTIFIED, "bound": bar, "witnesses": witnesses}
+    return {"verdict": CERTIFIED, "bound": bar, "witnesses": witnesses}
 
 
-def _check_dominance() -> tuple[int, dict]:
+def _check_dominance() -> dict:
     cases = [dominance_index(betas, thetas) for betas, thetas, _ in _DOMINANCE_CASES]
     ok = all(got == want and got.tail_at_j0 < got.half_lead_at_j0
              and got.fails_before[0] >= got.fails_before[1]
              for got, (_, _, want) in zip(cases, _DOMINANCE_CASES))
-    return (EXIT_OK if ok else EXIT_FAILED,
-            {"verdict": CERTIFIED if ok else "failed",
-             "cases": [case.as_json() for case in cases]})
+    return {"verdict": CERTIFIED if ok else FAILED,
+            "cases": [case.as_json() for case in cases]}
 
 
-def _check_perturbation() -> tuple[int, dict]:
+def _check_perturbation() -> Certificate:
     radius = Fraction(3, 5)
     cert = comeager_perturbation(StepFunction(), 1, (ZERO, Fraction(1)), radius).certificate()
     payload = cert.payload
@@ -127,10 +127,10 @@ def _check_perturbation() -> tuple[int, dict]:
           and threshold == radius / 6
           and payload["radius_seventh"] == radius / 7
           and threshold > payload["radius_seventh"])
-    return (EXIT_OK if ok else EXIT_FAILED, cert.as_json())
+    return cert if ok else replace(cert, verdict=FAILED)
 
 
-def _check_jump_exactness(indices: Sequence[int]) -> tuple[int, dict]:
+def _check_jump_exactness(indices: Sequence[int]) -> dict:
     """The unit staircase jumps by exactly 2^-i at the i-th rational."""
     stair = staircase_polynomial()
     for i in indices:
@@ -138,20 +138,17 @@ def _check_jump_exactness(indices: Sequence[int]) -> tuple[int, dict]:
         expected = pow2(-i)
         if not (got.certified_nonzero and got.value.lo == expected
                 and got.value.hi == expected):
-            return EXIT_FAILED, {"verdict": "failed", "index": i,
-                                 "jump": got.value}
-    return EXIT_OK, {"verdict": CERTIFIED, "indices_checked": len(indices),
-                     "jump_form": "2^-i, attained exactly"}
+            return {"verdict": FAILED, "index": i, "jump": got.value}
+    return {"verdict": CERTIFIED, "indices_checked": len(indices),
+            "jump_form": "2^-i, attained exactly"}
 
 
-def _check_variation() -> tuple[int, dict]:
+def _check_variation() -> dict:
     combo = ShiftCombination(((Fraction(2), SqrtShift(1)),
                               (Fraction(3), SqrtShift(2))))
     vb = variation_bounds(combo)
     ok = vb.lower >= 5 and vb.upper is not None and vb.upper <= 15
-    return (EXIT_OK if ok else EXIT_FAILED,
-            {"verdict": CERTIFIED if ok else "failed",
-             "lower": vb.lower, "upper": vb.upper})
+    return {"verdict": CERTIFIED if ok else FAILED, "lower": vb.lower, "upper": vb.upper}
 
 
 def _density_targets() -> dict[str, JumpPolynomial]:
@@ -174,7 +171,7 @@ def _draw_density_windows(rng: random.Random, per_target: int) -> list[tuple[str
     return windows
 
 
-def _check_density(windows: Sequence[tuple[str, Fraction, Fraction]]) -> tuple[int, dict]:
+def _check_density(windows: Sequence[tuple[str, Fraction, Fraction]]) -> dict | InconclusiveAtBudget:
     """Every window of length >= 1/1000 holds a rational with a certified nonzero jump."""
     if any(hi - lo < Fraction(1, 1000) for _, lo, hi in windows):
         raise ValueError("the claim covers windows of length >= 1/1000 only")
@@ -184,19 +181,18 @@ def _check_density(windows: Sequence[tuple[str, Fraction, Fraction]]) -> tuple[i
         got = jump_search(targets[name], lo, hi, Fraction(1, 1000),
                           index_budget=_INDEX_BUDGET, terms=64, precision=128)
         if isinstance(got, InconclusiveAtBudget):
-            return EXIT_INCONCLUSIVE, InconclusiveAtBudget(
+            return InconclusiveAtBudget(
                 f"{name} on [{format_fraction(lo)}, {format_fraction(hi)}]: {got.reason}",
-                got.budget).as_json()
+                got.budget)
         if not (lo <= got.point <= hi and got.index <= _INDEX_BUDGET
                 and not got.jump.contains_zero()):
-            return EXIT_FAILED, {"verdict": "failed", "polynomial": name,
-                                 "window": [lo, hi], "index": got.index,
-                                 "point": got.point, "jump": got.jump}
+            return {"verdict": FAILED, "polynomial": name, "window": [lo, hi],
+                    "index": got.index, "point": got.point, "jump": got.jump}
         outcomes.append({"polynomial": name, "index": got.index,
                          "point": got.point})
-    return EXIT_OK, {"verdict": CERTIFIED, "windows": len(outcomes),
-                     "window_length": min(hi - lo for _, lo, hi in windows),
-                     "samples": outcomes[:6]}
+    return {"verdict": CERTIFIED, "windows": len(outcomes),
+            "window_length": min(hi - lo for _, lo, hi in windows),
+            "samples": outcomes[:6]}
 
 
 def _draw_monomial_vectors(rng: random.Random, count: int) -> list[dict[tuple[int, int], int]]:
@@ -241,7 +237,7 @@ def _sign_counts(cells: Sequence[tuple[int, int]]) -> dict[str, int]:
             "ambiguous": nonzero - certified}
 
 
-def _check_faithfulness(spot_vectors: Sequence[dict[tuple[int, int], int]]) -> tuple[int, dict]:
+def _check_faithfulness(spot_vectors: Sequence[dict[tuple[int, int], int]]) -> dict:
     """Every nonzero vector in {-2..2}^9 gives a certified nonzero jump at 1/2."""
     basis = (2, 3)
     table = jump_contribution_table(Fraction(1, 2), basis, 3)
@@ -267,12 +263,10 @@ def _check_faithfulness(spot_vectors: Sequence[dict[tuple[int, int], int]]) -> t
         nonzero_both = (not via_table.contains_zero()) and direct.certified_nonzero
         ok = ok and overlap and nonzero_both
         spots.append({"jump": via_table, "agrees": overlap})
-    return (EXIT_OK if ok else EXIT_FAILED,
-            {"verdict": CERTIFIED if ok else "failed", "counts": counts,
-             "spot_checks": spots})
+    return {"verdict": CERTIFIED if ok else FAILED, "counts": counts, "spot_checks": spots}
 
 
-def _check_gauge_integral() -> tuple[int, dict]:
+def _check_gauge_integral() -> dict:
     deriv = Oscillator(kind="derivative")
     total = kurzweil_integral(deriv, 0, 1)
     ok = (total.contains_zero() and total.hi - total.lo <= Fraction(1, 10**9))
@@ -281,12 +275,11 @@ def _check_gauge_integral() -> tuple[int, dict]:
         if abs(row.integral).hi > 4 * pow2(-2 * n):
             ok = False
             break
-    return (EXIT_OK if ok else EXIT_FAILED,
-            {"verdict": COMPUTED if ok else "failed", "integral": total,
-             "hake_rows": len(rows), "cutoff_bound": "4 * eps^2"})
+    return {"verdict": COMPUTED if ok else FAILED, "integral": total,
+            "hake_rows": len(rows), "cutoff_bound": "4 * eps^2"}
 
 
-def _check_nonlebesgue() -> tuple[int, dict]:
+def _check_nonlebesgue() -> dict:
     deriv = Oscillator(kind="derivative")
     small = nonlebesgue_witness(deriv, 1)
     large = nonlebesgue_witness(deriv, 4)
@@ -294,10 +287,9 @@ def _check_nonlebesgue() -> tuple[int, dict]:
     ok = (small.K == 1 and small.partial_sum == Fraction(16, 15)
           and small.sum_before == 0
           and large.K == 10 and large.sum_before < 4 <= large.partial_sum)
-    return (EXIT_OK if ok else EXIT_FAILED,
-            {"verdict": CERTIFIED if ok else "failed",
-             "bar_1": {"K": small.K, "sum": small.partial_sum},
-             "bar_4": {"K": large.K, "sum": large.partial_sum}})
+    return {"verdict": CERTIFIED if ok else FAILED,
+            "bar_1": {"K": small.K, "sum": small.partial_sum},
+            "bar_4": {"K": large.K, "sum": large.partial_sum}}
 
 
 def _draw_combinations(rng: random.Random, count: int) -> list[dict[int, Fraction]]:
@@ -312,14 +304,14 @@ def _draw_combinations(rng: random.Random, count: int) -> list[dict[int, Fractio
 
 
 def _check_alexiewicz(depths: Sequence[int],
-                      combinations: Sequence[dict[int, Fraction]]) -> tuple[int, dict]:
+                      combinations: Sequence[dict[int, Fraction]]) -> dict | InconclusiveAtBudget:
     """Unit norm in [0.68, 0.69], the same at every depth, scaling with max |alpha_k|."""
     tol = Fraction(1, 1000)
     units = [{k: 1} for k in (1, *depths)]
     norms = [alexiewicz_norm(OscCombination.of(c), tol) for c in (*units, *combinations)]
     for got in norms:
         if isinstance(got, InconclusiveAtBudget):
-            return EXIT_INCONCLUSIVE, got.as_json()
+            return got
     base = norms[0]
     ok = Fraction(68, 100) <= base.lo and base.hi <= Fraction(69, 100)
     for other in norms[1:len(units)]:
@@ -331,9 +323,8 @@ def _check_alexiewicz(depths: Sequence[int],
         agree = (got.lo <= hi_ref + 2 * tol and lo_ref <= got.hi + 2 * tol)
         ok = ok and agree
         scaled_checks.append({"max_coeff": peak, "norm": got, "agrees": agree})
-    return (EXIT_OK if ok else EXIT_FAILED,
-            {"verdict": COMPUTED if ok else "failed", "unit_norm": base,
-             "tolerance": tol, "scaled": scaled_checks})
+    return {"verdict": COMPUTED if ok else FAILED, "unit_norm": base,
+            "tolerance": tol, "scaled": scaled_checks}
 
 
 def _draw_basis_trials(rng: random.Random, count: int) -> list[tuple[list[Fraction], int, int]]:
@@ -346,15 +337,14 @@ def _draw_basis_trials(rng: random.Random, count: int) -> list[tuple[list[Fracti
     return trials
 
 
-def _check_basis_inequality(trials: Sequence[tuple[Sequence[Fraction], int, int]]) -> tuple[int, dict]:
+def _check_basis_inequality(trials: Sequence[tuple[Sequence[Fraction], int, int]]) -> dict:
     """The basic-sequence inequality holds, with a nonnegative margin, on every trial."""
     family = disjoint_power_family(Fraction(3, 2), 6)
     for trial, (coeffs, m1, m2) in enumerate(trials):
         result = basis_inequality_check(coeffs, m1, m2, family)
         if result.margin_lower < 0:
-            return EXIT_FAILED, {"verdict": "failed", "trial": trial,
-                                 "comparison": result.as_json()}
-    return EXIT_OK, {"verdict": CERTIFIED, "trials": len(trials), "family_size": 6}
+            return {"verdict": FAILED, "trial": trial, "comparison": result.as_json()}
+    return {"verdict": CERTIFIED, "trials": len(trials), "family_size": 6}
 
 
 def _draw_points(rng: random.Random, count: int) -> list[Fraction]:
@@ -362,7 +352,7 @@ def _draw_points(rng: random.Random, count: int) -> list[Fraction]:
     return [Fraction(rng.randint(100, 1899), 2000) for _ in range(count)]
 
 
-def _check_finite_difference(points: Sequence[Fraction]) -> tuple[int, dict]:
+def _check_finite_difference(points: Sequence[Fraction]) -> dict:
     """The primitive's difference quotient agrees with the derivative at every point."""
     prim = Oscillator(kind="primitive")
     deriv = Oscillator(kind="derivative")
@@ -373,10 +363,9 @@ def _check_finite_difference(points: Sequence[Fraction]) -> tuple[int, dict]:
         # mean value bound: the quotient sits within slope_bound * h of phi(x)
         slack = slope_bound(deriv, x, x + h) * h
         if not (at_x.lo - slack <= quotient.lo and quotient.hi <= at_x.hi + slack):
-            return EXIT_FAILED, {"verdict": "failed", "x": x,
-                                 "difference_quotient": quotient,
-                                 "derivative": at_x}
-    return EXIT_OK, {"verdict": CERTIFIED, "points": len(points), "step": h}
+            return {"verdict": FAILED, "x": x, "difference_quotient": quotient,
+                    "derivative": at_x}
+    return {"verdict": CERTIFIED, "points": len(points), "step": h}
 
 
 def _draw_windows(rng: random.Random, count: int, width: Fraction) -> list[tuple[Fraction, Fraction]]:
@@ -390,7 +379,7 @@ def _seeded() -> random.Random:
 
 
 # the bundled report: each check on its own seed-97 draw
-_CHECKS: list[tuple[int, str, str, Callable[[], tuple[int, dict]]]] = [
+_CHECKS: list[tuple[int, str, str, Callable[[], object]]] = [
     (1, "tower measure recursion", "measure-enclosure", _check_measure),
     (2, "step-series L1 closed form", "norm-enclosure", _check_l1),
     (3, "essential unboundedness on windows", "unbounded",
@@ -416,10 +405,6 @@ _CHECKS: list[tuple[int, str, str, Callable[[], tuple[int, dict]]]] = [
 
 
 def run_checklist() -> list[dict]:
-    """Run all bundled checks; entries carry exit_code for the caller."""
-    entries = []
-    for number, title, claim, check in _CHECKS:
-        code, timed = timed_check(check)
-        entries.append({"criterion": number, "title": title, "claim": claim,
-                        "exit_code": code, **timed})
-    return entries
+    """Run all bundled checks, each entry with its outcome as JSON."""
+    return [{"criterion": number, "title": title, "claim": claim, **timed_check(check)}
+            for number, title, claim, check in _CHECKS]

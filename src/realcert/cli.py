@@ -1,11 +1,13 @@
 """Command line front end.
 
 Reads function-spec JSON, dispatches to the construction modules, and
-prints canonical JSON so identical runs are byte-identical.  Exit codes
-are part of the contract: 0 means certified or computed, 2 means the
-finite budget was exhausted without settling the claim, 1 means the
-request itself was bad.  Inconclusive is deliberately not an error; no
-finite search can refute a density or unboundedness statement.
+prints canonical JSON so identical runs are byte-identical.  Each command
+returns its outcome and main reads the exit code from the printed
+verdict (`certificates.exit_code`): 0 means certified or computed, 2
+means the finite budget was exhausted without settling the claim, 1
+means the claim failed or the request itself was bad.  Inconclusive is
+deliberately not an error; no finite search can refute a density or
+unboundedness statement.
 
 Each command imports the construction modules it runs when it runs, so a
 short command does not pay to load the other constructions.
@@ -17,14 +19,14 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import __version__
-from .certificates import (CERTIFIED, COMPUTED, EXIT_FAILED, EXIT_INCONCLUSIVE,
-                           EXIT_OK, Certificate, InconclusiveAtBudget,
-                           canonical_dumps, jsonable, timed_check)
+from .certificates import (CERTIFIED, COMPUTED, EXIT_FAILED, Certificate,
+                           InconclusiveAtBudget, canonical_dumps, exit_code,
+                           jsonable, timed_check)
 from .enclosure import Enclosure
 from .rational import as_fraction, dyadic_floor, format_fraction
 
@@ -218,9 +220,7 @@ def _require_kind(spec: FunctionSpec, *kinds: str) -> None:
 
 def _with_provenance(cert: Certificate, spec: FunctionSpec) -> dict:
     """A library certificate's JSON, stamped with the spec's provenance."""
-    payload = cert.as_json()
-    payload["provenance"] = jsonable(spec.provenance())
-    return payload
+    return {**cert.as_json(), "provenance": spec.provenance()}
 
 
 def _csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -257,11 +257,11 @@ def _cmd_tower_build(args):
     cert = Certificate(
         claim="measure-enclosure",
         verdict=CERTIFIED,
-        payload={"tower": tower.as_json(), "generations": entries,
+        payload={"tower": tower, "generations": entries,
                  "provenance": spec.provenance()},
         budget={"depth": depth, "maxgen": maxgen},
     )
-    return EXIT_OK, cert.as_json(), _csv(("index", "lo", "hi"), rows)
+    return cert, _csv(("index", "lo", "hi"), rows)
 
 
 def _cmd_tower_show(args):
@@ -277,15 +277,15 @@ def _cmd_tower_show(args):
                         "components; lower --budget depth to list them")
     rows = [(i, c.spec.a, c.spec.b) for i, c in enumerate(approx.iter_components())]
     payload = {
-        "tower": tower.as_json(),
+        "tower": tower,
         "generation": j,
         "depth": depth,
         "component_count": count,
-        "measure": jsonable(approx.measure_enclosure),
-        "components": [[format_fraction(a), format_fraction(b)] for _, a, b in rows],
+        "measure": approx.measure_enclosure,
+        "components": [[a, b] for _, a, b in rows],
         "provenance": spec.provenance(),
     }
-    return EXIT_OK, payload, _csv(("index", "lo", "hi"), rows)
+    return payload, _csv(("index", "lo", "hi"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +303,8 @@ def _cmd_fn_eval(args):
         from .stepseries import eval_series
         got = eval_series(obj, at, budget["maxgen"], budget["depth"])
         if isinstance(got, InconclusiveAtBudget):
-            return EXIT_INCONCLUSIVE, got.as_json(), None
-        payload = {"at": format_fraction(at), "result": got.as_json(),
-                   "provenance": spec.provenance()}
-        return EXIT_OK, payload, None
+            return got, None
+        return {"at": at, "result": got, "provenance": spec.provenance()}, None
 
     def value(x: Fraction) -> Enclosure:
         if spec.kind == "jump-polynomial":
@@ -323,22 +321,17 @@ def _cmd_fn_eval(args):
             x = Fraction(k, args.grid)
             e = value(x)
             rows.append((x, e.lo, e.hi))
-    payload = {"at": format_fraction(at), "value": jsonable(enc),
-               "provenance": spec.provenance()}
-    return EXIT_OK, payload, _csv(("x", "lo", "hi"), rows)
+    return ({"at": at, "value": enc, "provenance": spec.provenance()},
+            _csv(("x", "lo", "hi"), rows))
 
 
 def _cmd_fn_integrate(args):
     from .oscillator import kurzweil_integral
     spec, obj = _single_spec(args, "oscillator-combination")
     enc = kurzweil_integral(obj, args.lo, args.hi, spec.budget["precision"])
-    payload = {
-        "from": format_fraction(args.lo),
-        "to": format_fraction(args.hi),
-        "integral": jsonable(enc.outward(spec.budget["precision"])),
-        "provenance": spec.provenance(),
-    }
-    return EXIT_OK, payload, None
+    return {"from": args.lo, "to": args.hi,
+            "integral": enc.outward(spec.budget["precision"]),
+            "provenance": spec.provenance()}, None
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +348,7 @@ def _cmd_norm_l1(args):
     cert = Certificate("norm-enclosure", COMPUTED,
                        {"space": "L1", "norm": enc.outward(spec.budget["precision"]),
                         "provenance": spec.provenance()})
-    return EXIT_OK, cert.as_json(), None
+    return cert, None
 
 
 def _cmd_norm_bv(args):
@@ -363,7 +356,7 @@ def _cmd_norm_bv(args):
     spec, obj = _single_spec(args, "jump-polynomial")
     result = variation_bounds(obj, terms=spec.budget["terms"],
                               precision=spec.budget["precision"])
-    return EXIT_OK, _with_provenance(result.certificate(), spec), None
+    return _with_provenance(result.certificate(), spec), None
 
 
 def _cmd_norm_alexiewicz(args):
@@ -372,12 +365,12 @@ def _cmd_norm_alexiewicz(args):
     tol = spec.budget["tolerance"]
     enc = alexiewicz_norm(obj, tol, _at_ceilings(spec.budget, "norm alexiewicz")["precision"])
     if isinstance(enc, InconclusiveAtBudget):
-        return EXIT_INCONCLUSIVE, enc.as_json(), None
+        return enc, None
     cert = Certificate("norm-enclosure", COMPUTED,
                        {"space": "Alexiewicz",
                         "norm": enc.outward(spec.budget["precision"]),
                         "tolerance": tol, "provenance": spec.provenance()})
-    return EXIT_OK, cert.as_json(), None
+    return cert, None
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +385,14 @@ def _cmd_certify_unbounded(args):
     got = unbounded_witness(series, lo, hi, args.bound,
                             spec.budget["maxgen"], spec.budget["depth"])
     if isinstance(got, InconclusiveAtBudget):
-        return EXIT_INCONCLUSIVE, got.as_json(), None
+        return got, None
     cert = Certificate("unbounded", CERTIFIED, {
         "interval": [lo, hi],
         "bound": args.bound,
-        "witness": got.as_json(),
+        "witness": got,
         "provenance": spec.provenance(),
     })
-    return EXIT_OK, cert.as_json(), None
+    return cert, None
 
 
 def _as_polynomial(obj):
@@ -427,8 +420,8 @@ def _cmd_certify_jump_dense(args):
     got = jump_search(poly, lo, hi, args.eps, _index_budget(budget),
                       budget["terms"], budget["precision"])
     if isinstance(got, InconclusiveAtBudget):
-        return EXIT_INCONCLUSIVE, got.as_json(), None
-    return EXIT_OK, _with_provenance(got.certificate(), spec), None
+        return got, None
+    return _with_provenance(got.certificate(), spec), None
 
 
 def _nonlebesgue(obj, bar, precision: int, max_peaks: int):
@@ -443,11 +436,10 @@ def _cmd_certify_non_lebesgue(args):
     got = _nonlebesgue(obj, args.bound, spec.budget["precision"],
                        1000 * spec.budget["maxgen"])
     if isinstance(got, InconclusiveAtBudget):
-        return EXIT_INCONCLUSIVE, got.as_json(), None
-    payload = _with_provenance(got.certificate(), spec)
+        return got, None
     base = got.base if hasattr(got, "base") else got
     rows = [(k, running, running) for k, _, running in base.rows()]
-    return EXIT_OK, payload, _csv(("index", "lo", "hi"), rows)
+    return _with_provenance(got.certificate(), spec), _csv(("index", "lo", "hi"), rows)
 
 
 def _cmd_certify_basis(args):
@@ -468,6 +460,11 @@ def _cmd_certify_basis(args):
         if theta is None:
             raise SpecError("a single monomial-rule spec cannot seed a family; "
                             "pass one --spec per member")
+        # the library's own refusals, made before m2 series are built
+        if not 1 <= m1 <= m2:
+            raise SpecError(f"need 1 <= m1 <= m2 <= {m2}")
+        if len(coeffs) < m2:
+            raise SpecError("fewer coefficients than m2")
         family = disjoint_power_family(theta, m2, series.tower)
     else:
         family = tuple(build_function(s) for s in specs)
@@ -485,7 +482,7 @@ def _cmd_certify_basis(args):
                        {"coefficients": coeffs, "m1": m1, "m2": m2,
                         "comparison": comparison,
                         "provenance": specs[0].provenance()})
-    return EXIT_OK, cert.as_json(), None
+    return cert, None
 
 
 def _cmd_certify_perturbation(args):
@@ -502,9 +499,7 @@ def _cmd_certify_perturbation(args):
     f = StepFunction(pieces)
     lo, hi = args.interval
     result = comeager_perturbation(f, args.bound, (lo, hi), args.radius)
-    payload = result.certificate().as_json()
-    payload["claim"] = "perturbation"
-    return EXIT_OK, payload, None
+    return replace(result.certificate(), claim="perturbation"), None
 
 
 # ---------------------------------------------------------------------------
@@ -512,35 +507,35 @@ def _cmd_certify_perturbation(args):
 # ---------------------------------------------------------------------------
 
 
-def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], tuple[int, dict]]]]:
+def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], object]]]:
     """Claim checks appropriate to one spec's kind, at its budgets."""
     budget = spec.budget
     obj = build_function(spec)
-    checks: list[tuple[str, Callable[[], tuple[int, dict]]]] = []
+    checks: list[tuple[str, Callable[[], object]]] = []
 
     if spec.kind == "tower-series":
         from .cantor import tower_generation
         from .stepseries import l1_norm, unbounded_witness
 
-        def measure() -> tuple[int, dict]:
+        def measure() -> dict:
             capped = _at_ceilings(budget, "report: measure")
             entries = []
             for j in range(1, obj.tower.upto(capped["maxgen"]) + 1):
                 enc = tower_generation(obj.tower, j, capped["depth"]).measure_enclosure
                 entries.append({"generation": j, "measure": enc})
-            return EXIT_OK, {"verdict": CERTIFIED, "generations": entries}
+            return {"verdict": CERTIFIED, "generations": entries}
 
-        def series_l1() -> tuple[int, dict]:
+        def series_l1() -> dict:
             capped = _at_ceilings(budget, "report: l1")
             enc = l1_norm(obj, capped["terms"], capped["depth"])
-            return EXIT_OK, {"verdict": COMPUTED, "norm": enc.outward(96)}
+            return {"verdict": COMPUTED, "norm": enc.outward(96)}
 
-        def unbounded() -> tuple[int, dict]:
+        def unbounded() -> dict | InconclusiveAtBudget:
             got = unbounded_witness(obj, Fraction(3, 8), Fraction(5, 8), 2,
                                     budget["maxgen"], budget["depth"])
             if isinstance(got, InconclusiveAtBudget):
-                return EXIT_INCONCLUSIVE, got.as_json()
-            return EXIT_OK, {"verdict": CERTIFIED, "witness": got.as_json()}
+                return got
+            return {"verdict": CERTIFIED, "witness": got}
 
         checks += [("measure-enclosure", measure), ("norm-enclosure", series_l1),
                    ("unbounded", unbounded)]
@@ -549,28 +544,26 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], tuple[int, dict
         from .jumps import jump_enclosure, jump_search, variation_bounds
         poly = _as_polynomial(obj)
 
-        def nonzero() -> tuple[int, dict]:
+        def nonzero() -> dict | InconclusiveAtBudget:
             got = jump_enclosure(poly, Fraction(1, 2), budget["terms"],
                                  budget["precision"])
             if got.certified_nonzero:
-                return EXIT_OK, {"verdict": CERTIFIED, "jump": got.value}
-            return EXIT_INCONCLUSIVE, InconclusiveAtBudget(
+                return {"verdict": CERTIFIED, "jump": got.value}
+            return InconclusiveAtBudget(
                 "the jump enclosure at 1/2 still contains zero",
-                {"terms": budget["terms"], "precision": budget["precision"]}).as_json()
+                {"terms": budget["terms"], "precision": budget["precision"]})
 
-        def dense() -> tuple[int, dict]:
+        def dense() -> dict | InconclusiveAtBudget:
             got = jump_search(poly, Fraction(2, 5), Fraction(3, 5),
                               Fraction(1, 1000), _index_budget(budget),
                               budget["terms"], budget["precision"])
             if isinstance(got, InconclusiveAtBudget):
-                return EXIT_INCONCLUSIVE, got.as_json()
-            return EXIT_OK, {"verdict": CERTIFIED,
-                             "witness": got.certificate().as_json()["payload"]}
+                return got
+            return {"verdict": CERTIFIED, "witness": got.certificate().payload}
 
-        def variation() -> tuple[int, dict]:
-            vb = variation_bounds(obj, terms=_at_ceilings(budget, "report: variation")["terms"],
-                                  precision=budget["precision"])
-            return EXIT_OK, vb.certificate().as_json()
+        def variation() -> Certificate:
+            return variation_bounds(obj, terms=_at_ceilings(budget, "report: variation")["terms"],
+                                    precision=budget["precision"]).certificate()
 
         # the jump checks need a polynomial; the variation bounds take every shape
         if poly is not None:
@@ -580,20 +573,19 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], tuple[int, dict
     else:
         from .oscillator import alexiewicz_norm
 
-        def not_lebesgue() -> tuple[int, dict]:
+        def not_lebesgue() -> dict | InconclusiveAtBudget:
             got = _nonlebesgue(obj, 4, budget["precision"], 1000)
             if isinstance(got, InconclusiveAtBudget):
-                return EXIT_INCONCLUSIVE, got.as_json()
-            return EXIT_OK, {"verdict": CERTIFIED,
-                             "witness": got.certificate().as_json()["payload"]}
+                return got
+            return {"verdict": CERTIFIED, "witness": got.certificate().payload}
 
-        def alexiewicz() -> tuple[int, dict]:
+        def alexiewicz() -> dict | InconclusiveAtBudget:
             tol = budget["tolerance"]
             enc = alexiewicz_norm(obj, tol,
                                   _at_ceilings(budget, "report: alexiewicz")["precision"])
             if isinstance(enc, InconclusiveAtBudget):
-                return EXIT_INCONCLUSIVE, enc.as_json()
-            return EXIT_OK, {"verdict": COMPUTED, "norm": enc, "tolerance": tol}
+                return enc
+            return {"verdict": COMPUTED, "norm": enc, "tolerance": tol}
 
         checks += [("non-lebesgue", not_lebesgue), ("norm-enclosure", alexiewicz)]
     return checks
@@ -601,20 +593,15 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], tuple[int, dict
 
 def _cmd_report(args):
     entries = []
-    worst = EXIT_OK
     specs = [(path, load_spec(path, args.budget_overrides)) for path in args.specs]
     if args.bundled:
         from .checklist import run_checklist
-        for entry in run_checklist():
-            worst = max(worst, entry.pop("exit_code"))
-            entries.append(entry)
+        entries += run_checklist()
     for path, spec in specs:
         for claim, check in _battery(spec):
-            code, timed = timed_check(check)
-            worst = max(worst, code)
             entries.append({"spec": path, "spec_sha256": spec.sha256, "claim": claim,
-                            **timed})
-    return worst, {"library": f"realcert {__version__}", "entries": entries}, None
+                            **timed_check(check)})
+    return {"library": f"realcert {__version__}", "entries": entries}, None
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +741,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         args.budget_overrides = _budget_overrides(args)
-        code, payload, csv_text = args.handler(args)
+        outcome, csv_text = args.handler(args)
         if args.csv:
             if csv_text is None:
                 raise SpecError("this command does not emit CSV")
@@ -764,8 +751,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"realcert: {err}", file=sys.stderr)
         print(canonical_dumps({"error": str(err)}, indent=2))
         return EXIT_FAILED
-    print(canonical_dumps(payload, indent=2))
-    return code
+    printed = jsonable(outcome)
+    print(canonical_dumps(printed, indent=2))
+    return exit_code(printed)
 
 
 if __name__ == "__main__":

@@ -463,8 +463,7 @@ def sin_pi(c: "Enclosure | RationalLike", precision: int = 64) -> Enclosure:
     half-integer points of c, which makes the range analysis an exact
     rational computation.
     """
-    if not isinstance(c, Enclosure):
-        return _sin_pi_point(as_fraction(c), precision)
+    c = _coerce(c)
     lo, hi, w = _sin_pi_range(c.lo.numerator, c.lo.denominator,
                               c.hi.numerator, c.hi.denominator, precision)
     return Enclosure(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
@@ -524,11 +523,6 @@ def _sin_pi_fx(n: int, d: int, precision: int) -> tuple[int, int, int]:
     if sign < 0:
         lo, hi = -hi, -lo
     return (lo, hi, w)
-
-
-def _sin_pi_point(c: Fraction, precision: int) -> Enclosure:
-    lo, hi, w = _sin_pi_fx(c.numerator, c.denominator, precision)
-    return Enclosure(Fraction(lo, 1 << w), Fraction(hi, 1 << w))
 
 
 def cos_pi(c: "Enclosure | RationalLike", precision: int = 64) -> Enclosure:

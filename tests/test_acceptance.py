@@ -3,18 +3,21 @@
 Each test runs the same check function as the bundled report (`realcert
 report --bundled`), on larger samples drawn from its own fixed seed, and
 ends with a wall-clock guard.  The pass predicates live in
-`realcert.checklist` only; a failing test prints the check's payload.
+`realcert.checklist` only, and each test reads the exit code from the
+printed outcome as the command line does; a failing test prints it.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 
-from realcert.certificates import EXIT_INCONCLUSIVE, InconclusiveAtBudget
+from realcert import checklist
+from realcert.certificates import FAILED, InconclusiveAtBudget, exit_code, jsonable
 from realcert.checklist import (
-    EXIT_OK, _check_alexiewicz, _check_basis_inequality, _check_density,
+    _check_alexiewicz, _check_basis_inequality, _check_density,
     _check_dominance, _check_faithfulness, _check_finite_difference,
     _check_gauge_integral, _check_jump_exactness, _check_l1, _check_measure,
     _check_nonlebesgue, _check_perturbation, _check_unbounded,
@@ -24,94 +27,104 @@ from realcert.checklist import (
 
 def test_criterion_01_tower_measure_recursion():
     start = time.monotonic()
-    code, payload = _check_measure()
-    assert code == EXIT_OK, payload
+    printed = jsonable(_check_measure())
+    assert exit_code(printed) == 0, printed
     assert time.monotonic() - start < 5.0
 
 
 def test_criterion_02_l1_closed_form():
     start = time.monotonic()
-    code, payload = _check_l1()
-    assert code == EXIT_OK, payload
+    printed = jsonable(_check_l1())
+    assert exit_code(printed) == 0, printed
     assert time.monotonic() - start < 10.0
 
 
 def test_criterion_03_unbounded_on_random_windows():
     start = time.monotonic()
-    code, payload = _check_unbounded(_draw_windows(random.Random(20), 20, Fraction(1, 50)))
-    assert code == EXIT_OK, payload
+    printed = jsonable(_check_unbounded(_draw_windows(random.Random(20), 20, Fraction(1, 50))))
+    assert exit_code(printed) == 0, printed
     assert time.monotonic() - start < 30.0
 
 
 def test_criterion_04_dominance_index_minimality():
     start = time.monotonic()
-    code, payload = _check_dominance()
-    assert code == EXIT_OK, payload
+    printed = jsonable(_check_dominance())
+    assert exit_code(printed) == 0, printed
     assert time.monotonic() - start < 1.0
 
 
 def test_criterion_05_perturbation_inequalities():
     start = time.monotonic()
-    code, payload = _check_perturbation()
-    assert code == EXIT_OK, payload
+    printed = jsonable(_check_perturbation())
+    assert exit_code(printed) == 0, printed
     assert time.monotonic() - start < 1.0
+
+
+def test_criterion_05_broken_inequality_is_failed(monkeypatch):
+    # a perturbation at distance 1/3 lies outside the half radius 3/10
+    real = checklist.comeager_perturbation
+    monkeypatch.setattr(checklist, "comeager_perturbation",
+                        lambda *args: replace(real(*args), distance=Fraction(1, 3)))
+    printed = jsonable(_check_perturbation())
+    assert printed["verdict"] == FAILED
+    assert exit_code(printed) == 1
 
 
 def test_criterion_06_staircase_jump_exactness():
     start = time.monotonic()
-    code, payload = _check_jump_exactness(range(1, 1001))
-    assert code == EXIT_OK, payload
+    printed = jsonable(_check_jump_exactness(range(1, 1001)))
+    assert exit_code(printed) == 0, printed
     assert time.monotonic() - start < 10.0
 
 
 def test_criterion_07_shift_combination_variation():
     start = time.monotonic()
-    code, payload = _check_variation()
-    assert code == EXIT_OK, payload
+    printed = jsonable(_check_variation())
+    assert exit_code(printed) == 0, printed
     assert time.monotonic() - start < 10.0
 
 
 def test_criterion_08_dense_jumps_on_random_windows():
     start = time.monotonic()
-    code, payload = _check_density(_draw_density_windows(random.Random(8), 50))
-    assert code == EXIT_OK, payload
+    printed = jsonable(_check_density(_draw_density_windows(random.Random(8), 50)))
+    assert exit_code(printed) == 0, printed
     assert time.monotonic() - start < 60.0
 
 
 def test_criterion_09_generator_polynomial_faithfulness():
     start = time.monotonic()
-    code, payload = _check_faithfulness(_draw_monomial_vectors(random.Random(9), 20))
-    assert code == EXIT_OK, payload
+    printed = jsonable(_check_faithfulness(_draw_monomial_vectors(random.Random(9), 20)))
+    assert exit_code(printed) == 0, printed
     assert time.monotonic() - start < 300.0
 
 
 def test_criterion_10_gauge_integral_and_hake_cutoffs():
     start = time.monotonic()
-    code, payload = _check_gauge_integral()
-    assert code == EXIT_OK, payload
+    printed = jsonable(_check_gauge_integral())
+    assert exit_code(printed) == 0, printed
     assert time.monotonic() - start < 5.0
 
 
 def test_criterion_11_nonlebesgue_minimal_witness():
     start = time.monotonic()
-    code, payload = _check_nonlebesgue()
-    assert code == EXIT_OK, payload
+    printed = jsonable(_check_nonlebesgue())
+    assert exit_code(printed) == 0, printed
     assert time.monotonic() - start < 1.0
 
 
 def test_criterion_12_alexiewicz_norm_scaling():
     start = time.monotonic()
-    code, payload = _check_alexiewicz(range(2, 6), _draw_combinations(random.Random(12), 10))
-    assert code == EXIT_OK, payload
+    printed = jsonable(_check_alexiewicz(range(2, 6), _draw_combinations(random.Random(12), 10)))
+    assert exit_code(printed) == 0, printed
     assert time.monotonic() - start < 60.0
 
 
 def test_criterion_12_spent_budget_is_inconclusive(monkeypatch):
     spent = InconclusiveAtBudget("7 boxes alive", {"tolerance": Fraction(1, 1000)})
     monkeypatch.setattr("realcert.checklist.alexiewicz_norm", lambda *args: spent)
-    code, payload = _check_alexiewicz((2,), [])
-    assert code == EXIT_INCONCLUSIVE
-    assert payload == spent.as_json()
+    printed = jsonable(_check_alexiewicz((2,), []))
+    assert exit_code(printed) == 2
+    assert printed == spent.as_json()
 
 
 def test_criterion_13_basis_inequality_random_vectors():
@@ -123,13 +136,13 @@ def test_criterion_13_basis_inequality_random_vectors():
         m1 = rng.randint(1, m2)
         coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(m2)]
         trials.append((coeffs, m1, m2))
-    code, payload = _check_basis_inequality(trials)
-    assert code == EXIT_OK, payload
+    printed = jsonable(_check_basis_inequality(trials))
+    assert exit_code(printed) == 0, printed
     assert time.monotonic() - start < 60.0
 
 
 def test_criterion_14_finite_difference_consistency():
     start = time.monotonic()
-    code, payload = _check_finite_difference(_draw_points(random.Random(14), 1000))
-    assert code == EXIT_OK, payload
+    printed = jsonable(_check_finite_difference(_draw_points(random.Random(14), 1000)))
+    assert exit_code(printed) == 0, printed
     assert time.monotonic() - start < 30.0

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from realcert.certificates import INCONCLUSIVE
+from realcert.certificates import INCONCLUSIVE, exit_code
 from realcert.cli import main
 
 SPECS = Path(__file__).resolve().parents[1] / "src" / "realcert" / "specs"
@@ -243,6 +243,26 @@ def test_spec_shape_output_is_pinned(argv, code, digest, capsys, spec_dir):
     got = main(list(argv))
     out = capsys.readouterr().out
     assert (got, stripped_digest(out)) == (code, digest)
+
+
+@pytest.mark.parametrize("argv,code,digest", MATRIX + SHAPE_MATRIX,
+                         ids=[" ".join(r[0]) for r in MATRIX + SHAPE_MATRIX])
+def test_recorded_code_is_read_from_the_printed_verdict(argv, code, digest, capsys,
+                                                        spec_dir):
+    """Each row's code is exit_code of what it prints; a usage error prints only the error."""
+    main(list(argv))
+    printed = json.loads(capsys.readouterr().out)
+    if "error" in printed:
+        assert (code, list(printed)) == (1, ["error"])
+    else:
+        assert exit_code(printed) == code
+
+
+def test_bundled_entries_read_exit_0(capsys, spec_dir):
+    assert main(["report", "--bundled"]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert len(entries) == 14
+    assert [exit_code(e["payload"]) for e in entries] == [0] * 14
 
 
 def _verdicts(data):

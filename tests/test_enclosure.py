@@ -17,7 +17,6 @@ from realcert.enclosure import (
     _naive_exp,
     _pi_bracket,
     _sin_pi_fx,
-    _sin_pi_point,
     _taylor_sin_fx,
     cos_pi,
     exp_enc,
@@ -224,8 +223,8 @@ def test_sin_pi_interval_contains_midpoint(lo, width):
 def test_sin_pi_point_memo_returns_fresh_values(points, width):
     # every point twice, so the second of each pair is a warm hit
     _sin_pi_fx.cache_clear()
-    cold = [_sin_pi_point(c, p) for c, p in points + points]
-    warm = [_sin_pi_point(c, p) for c, p in points]
+    cold = [sin_pi(c, p) for c, p in points + points]
+    warm = [sin_pi(c, p) for c, p in points]
     fresh = [_sin_pi_fx.__wrapped__(c.numerator, c.denominator, p) for c, p in points]
     fresh = [Enclosure(Fraction(lo, 1 << w), Fraction(hi, 1 << w)) for lo, hi, w in fresh]
     assert cold == fresh + fresh and warm == fresh
@@ -310,7 +309,6 @@ PRECISIONS = st.integers(min_value=32, max_value=160)
 @settings(max_examples=400, deadline=None)
 def test_sin_pi_point_is_the_fraction_reference(c, precision):
     want = reference_sin_pi_point(c, precision)
-    assert _sin_pi_point(c, precision) == want
     assert sin_pi(c, precision) == want
     assert sin_pi(Enclosure.point(c), precision) == want
     # the kernel needs no lowest terms: an unreduced key gives the same value

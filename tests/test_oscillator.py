@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from realcert.certificates import CERTIFIED, InconclusiveAtBudget
+from realcert.certificates import CERTIFIED, InconclusiveAtBudget, exit_code, jsonable
 from realcert.checklist import _check_alexiewicz, _draw_combinations, _seeded
 from realcert import oscillator
 from realcert.enclosure import Enclosure, _sin_pi_fx, pi_const
@@ -507,8 +507,8 @@ def test_check_alexiewicz_sin_pi_effort():
     # and their siblings, so most kernel points are asked for again
     _unit_measure.cache_clear()
     _sin_pi_fx.cache_clear()
-    code, _ = _check_alexiewicz((2, 3), _draw_combinations(_seeded(), 3))
-    assert code == 0
+    outcome = _check_alexiewicz((2, 3), _draw_combinations(_seeded(), 3))
+    assert exit_code(jsonable(outcome)) == 0
     info = _sin_pi_fx.cache_info()
     assert info.misses <= 450
     assert info.hits > info.misses
