@@ -737,6 +737,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # exact numbers are read and printed in full, however long: lift the
+    # int-to-str digit limit of CPython 3.10.7+ (default 4,300) in this process
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -211,7 +211,7 @@ def _coerce(value: "Enclosure | RationalLike") -> Enclosure:
 # pi and e brackets
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# no memo: its only caller, _pi_bracket, is memoised on the same bits
 def _atan_inv_bracket(inv: int, bits: int) -> tuple[Fraction, Fraction]:
     """Bracket for atan(1/inv), inv >= 2, via the alternating Gregory series.
 

@@ -6,8 +6,9 @@ is differentiable everywhere, including the endpoints, yet the
 derivative oscillates so hard near 0 that its positive and negative
 parts both have infinite integral.  Integration is by antiderivative
 difference, which is exact for these integrands; phase arguments are
-rational, so the kernel's sin(pi * c) reduction gives exact zeros and
-exact alternating peak values.
+rational at rational points, so the kernel's sin(pi * c) reduction gives
+exact zeros there.  The alternating peaks sit at irrational points, where
+the primitive is enclosed around its exact heights (-1)^k * 2/(2k+1).
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ def _unit_measure(n: int, precision: int) -> tuple[Fraction, Fraction]:
 class Extremum:
     """k-th alternating peak of the unit primitive, at 1/sqrt(2+4k).
 
-    The phase there is (k + 1/2) pi, so the primitive value is exactly
-    (-1)^k * 2/(2k+1) and the cosine term of the derivative drops out.
+    The phase there is (k + 1/2) pi, so the primitive value is
+    (-1)^k * 2/(2k+1); the peak-gap sums of the witnesses add these.
     """
 
     k: int
@@ -146,9 +147,6 @@ class Extremum:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("peaks are indexed from 1")
-
-    def height(self) -> Fraction:
-        return Fraction(2 if self.k % 2 == 0 else -2, 2 * self.k + 1)
 
     def point(self, precision: int = 96) -> Enclosure:
         return 1 / sqrt_enc(2 + 4 * self.k, precision)
@@ -199,23 +197,13 @@ class Oscillator:
             inner = inner.hull(Enclosure(ZERO, ZERO))
         return inner
 
-    def primitive_at(self, x: "Enclosure | Extremum | RationalLike",
-                     precision: int = 96) -> Enclosure:
-        if isinstance(x, Extremum):
-            return Enclosure.point(x.height())
+    def primitive_at(self, x: "Enclosure | RationalLike", precision: int = 96) -> Enclosure:
         return self._eval(x, precision, primitive=True)
 
-    def derivative_at(self, x: "Enclosure | Extremum | RationalLike",
-                      precision: int = 96) -> Enclosure:
-        if isinstance(x, Extremum):
-            # cosine term vanishes at the peak; only 8 t survives, rescaled
-            sign = 1 if x.k % 2 == 0 else -1
-            peak = x.point(precision)
-            return sign * 8 * peak * (1 / self.length)
+    def derivative_at(self, x: "Enclosure | RationalLike", precision: int = 96) -> Enclosure:
         return self._eval(x, precision, primitive=False)
 
-    def value_at(self, x: "Enclosure | Extremum | RationalLike",
-                 precision: int = 96) -> Enclosure:
+    def value_at(self, x: "Enclosure | RationalLike", precision: int = 96) -> Enclosure:
         if self.kind == "primitive":
             return self.primitive_at(x, precision)
         return self.derivative_at(x, precision)
@@ -225,8 +213,7 @@ class Oscillator:
                 "kind": self.kind}
 
 
-def osc_eval(o: Oscillator, x: "Enclosure | Extremum | RationalLike",
-             precision: int = 96) -> Enclosure:
+def osc_eval(o: Oscillator, x: "Enclosure | RationalLike", precision: int = 96) -> Enclosure:
     """Sound enclosure of the oscillator at x; exact zeros off support."""
     return o.value_at(x, precision)
 
@@ -310,24 +297,9 @@ class OscCombination:
 # ---------------------------------------------------------------------------
 
 
-def _primitive_endpoint(obj: "Oscillator | OscCombination",
-                        x: "Enclosure | Extremum | RationalLike",
-                        precision: int) -> Enclosure:
-    if isinstance(x, Extremum) and isinstance(obj, OscCombination):
-        raise ValueError("peak endpoints are only meaningful for a single oscillator")
-    if isinstance(x, Extremum) or isinstance(x, Enclosure):
-        return obj.primitive_at(x, precision)
-    q = as_fraction(x)
-    if not ZERO <= q <= ONE:
-        raise ValueError(f"endpoint {q} leaves the unit interval")
-    return obj.primitive_at(q, precision)
-
-
-def kurzweil_integral(obj: "Oscillator | OscCombination",
-                      lo: "Enclosure | Extremum | RationalLike",
-                      hi: "Enclosure | Extremum | RationalLike",
-                      precision: int = 96) -> Enclosure:
-    """Integral of the derivative object over [lo, hi].
+def kurzweil_integral(obj: "Oscillator | OscCombination", lo: RationalLike,
+                      hi: RationalLike, precision: int = 96) -> Enclosure:
+    """Integral of the derivative object over [lo, hi], rational ends in [0, 1].
 
     Every integrand here is an exact derivative, so the gauge integral is
     the difference of primitive values; no partitioning is involved and
@@ -335,39 +307,32 @@ def kurzweil_integral(obj: "Oscillator | OscCombination",
     """
     if isinstance(obj, Oscillator) and obj.kind != "derivative":
         raise ValueError("integrand must be a derivative-kind oscillator")
-    upper = _primitive_endpoint(obj, hi, precision)
-    lower = _primitive_endpoint(obj, lo, precision)
-    return upper - lower
+    upper, lower = as_fraction(hi), as_fraction(lo)
+    for q in (upper, lower):
+        if not ZERO <= q <= ONE:
+            raise ValueError(f"endpoint {q} leaves the unit interval")
+    return obj.primitive_at(upper, precision) - obj.primitive_at(lower, precision)
 
 
 @dataclass(frozen=True)
 class HakeEntry:
-    epsilon: Enclosure
+    epsilon: Fraction
     integral: Enclosure
 
 
-def hake_table(obj: "Oscillator | OscCombination",
-               epsilons: Sequence["Enclosure | Extremum | RationalLike"],
+def hake_table(obj: "Oscillator | OscCombination", epsilons: Sequence[RationalLike],
                precision: int = 96) -> tuple[HakeEntry, ...]:
-    """Enclosures of the integral over [eps, 1] for each cutoff.
+    """Enclosures of the integral over [eps, 1] for each rational cutoff.
 
     As the cutoffs decrease the rows approach the full integral, which is
     how the gauge integral of an endpoint-singular derivative is defined;
     each row is sound on its own, whatever order the cutoffs come in.
     """
     rows = []
-    for eps in epsilons:
-        if isinstance(eps, Extremum):
-            eps_enc = eps.point(precision)
-        elif isinstance(eps, Enclosure):
-            eps_enc = eps
-        else:
-            eps_enc = Enclosure.point(as_fraction(eps))
-        if eps_enc.lo <= 0 or eps_enc.hi > 1:
-            raise ValueError(f"cutoff {eps_enc} must sit inside (0, 1]")
-        value = kurzweil_integral(obj, eps if isinstance(eps, Extremum) else eps_enc,
-                                  ONE, precision)
-        rows.append(HakeEntry(eps_enc, value))
+    for eps in map(as_fraction, epsilons):
+        if not ZERO < eps <= ONE:
+            raise ValueError(f"cutoff {eps} must sit inside (0, 1]")
+        rows.append(HakeEntry(eps, kurzweil_integral(obj, eps, ONE, precision)))
     return tuple(rows)
 
 

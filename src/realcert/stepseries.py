@@ -12,6 +12,7 @@ subinterval.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -516,7 +517,7 @@ def basis_inequality_check(
     a = [as_fraction(c) for c in coeffs]
     if len(a) < m2:
         raise ValueError("fewer coefficients than m2")
-    _check_disjoint_supports(family[:m2], terms)
+    _check_disjoint_supports(family[:m2])
     norms = [l1_norm(g, terms, depth) for g in family[:m2]]
     left = Enclosure(ZERO, ZERO)
     right = Enclosure(ZERO, ZERO)
@@ -531,17 +532,41 @@ def basis_inequality_check(
     return BasisComparison(left, right, margin)
 
 
-def _check_disjoint_supports(family: Sequence[StepSeries], terms: int) -> None:
-    seen: dict[int, int] = {}
-    for k, g in enumerate(family):
+def _check_disjoint_supports(family: Sequence[StepSeries]) -> None:
+    """Refuse a family that is not supported on disjoint sets.
+
+    Members must share one tower, since generations of different towers
+    are different sets, and no two may share an exponent.
+    """
+    for g in family:
         if not isinstance(g.rule, PowerAlongSubsequence):
             raise ValueError("the family must consist of power-rule series")
-        limit = g.rule.term_limit
-        for j in range(1, (terms if limit is None else min(terms, limit)) + 1):
-            n = g.rule.exponent(j)
-            if n in seen and seen[n] != k:
-                raise ValueError(f"supports overlap at exponent {n}")
-            seen[n] = k
+    if len({g.tower for g in family}) > 1:
+        raise ValueError("the family's members must share one tower")
+    last = family[0].tower.generations
+    for (i, f), (j, g) in itertools.combinations(enumerate(family, 1), 2):
+        if _supports_meet(f.rule, g.rule, last):
+            raise ValueError(f"supports of members {i} and {j} overlap")
+
+
+def _supports_meet(r: PowerAlongSubsequence, q: PowerAlongSubsequence,
+                   last: int | None) -> bool:
+    """Whether two rules share an exponent up to generation last (None: no end).
+
+    Rules a:s and b:t meet exactly when a = b mod gcd(s, t), and then
+    infinitely often; a finite exponent list is checked by membership.
+    """
+    if isinstance(q.subseq, tuple):
+        r, q = q, r
+    if isinstance(r.subseq, tuple):
+        exponents: Sequence[int] = r.subseq
+    elif last is None:
+        (a, s), (b, t) = r._arith(), q._arith()
+        return (a - b) % math.gcd(s, t) == 0
+    else:
+        start, stride = r._arith()
+        exponents = range(start, last + 1, stride)
+    return any(q.support_contains(n) for n in exponents if last is None or n <= last)
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,62 @@ def test_certify_basis_refuses_m2_before_building_the_family(specs, capsys, extr
     assert (code, out["error"]) == (1, message)
 
 
+def _tower_series(tmp_path, name: str, preset: str, subseq: str) -> str:
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"kind": "tower-series", "body": {
+        "tower": {"preset": preset},
+        "rule": {"power": {"theta": "3/2", "subseq": subseq}}}}))
+    return str(path)
+
+
+@pytest.mark.parametrize("second,message", [
+    # arith:1:2 and arith:201:2 first meet at 201, past certify basis's 48 terms
+    (("dyadic", "arith:201:2"), "supports of members 1 and 2 overlap"),
+    (("factorial", "arith:2:2"), "the family's members must share one tower"),
+], ids=["overlap", "two-towers"])
+def test_certify_basis_refuses_a_family_without_disjoint_supports(tmp_path, capsys,
+                                                                 second, message):
+    first = _tower_series(tmp_path, "a", "dyadic", "arith:1:2")
+    code, out = run(capsys, "certify", "basis", "--spec", first,
+                    "--spec", _tower_series(tmp_path, "b", *second),
+                    "--coeffs", "1,-1", "--m1", "1", "--m2", "2")
+    assert (code, out) == (1, {"error": message})
+
+
+def test_certify_basis_accepts_disjoint_members(tmp_path, capsys):
+    code, out = run(capsys, "certify", "basis",
+                    "--spec", _tower_series(tmp_path, "a", "dyadic", "arith:1:2"),
+                    "--spec", _tower_series(tmp_path, "b", "dyadic", "arith:202:2"),
+                    "--coeffs", "1,-1", "--m1", "1", "--m2", "2")
+    assert (code, out["verdict"]) == (0, "certified")
+
+
+def _explicit_tower_spec(tmp_path, digits: int) -> tuple[str, list[str]]:
+    # masses 1/(10^digits + k), written without converting a long int to str
+    masses = [f"1/1{str(k).rjust(digits, '0')}" for k in (7, 37, 39, 49)]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"kind": "tower-series", "body": {
+        "tower": {"preset": "explicit", "masses": masses},
+        "rule": {"power": {"theta": "3/2", "subseq": "all"}}}}))
+    return str(path), masses
+
+
+def test_tower_build_prints_numbers_past_the_int_digit_limit(tmp_path, capsys):
+    # 1,501-digit masses give measures past CPython's 4,300-digit str limit
+    path, masses = _explicit_tower_spec(tmp_path, 1500)
+    code, out = run(capsys, "tower", "build", "--spec", path)
+    assert (code, out["verdict"]) == (0, "certified")
+    generations = out["payload"]["generations"]
+    assert [g["mass"] for g in generations] == masses
+    assert max(len(g["measure"]["hi"]) for g in generations) > 4300
+
+
+def test_inputs_past_the_int_digit_limit_are_read(tmp_path, capsys):
+    path, masses = _explicit_tower_spec(tmp_path, 5000)
+    code, out = run(capsys, "tower", "build", "--spec", path)
+    assert (code, out["payload"]["tower"]["masses"]) == (0, masses)
+
+
 def test_certify_perturbation_default_zero_function(capsys):
     code, out = run(capsys, "certify", "perturbation", "--bound", "1",
                     "--radius", "3/5", "--interval", "0", "1")

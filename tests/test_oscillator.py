@@ -1,4 +1,4 @@
-"""Oscillator family: exact peak arithmetic, gauge integrals, norms.
+"""Oscillator family: exact zeros, peak enclosures, gauge integrals, norms.
 
 Rational inputs give rational phases, so the kernel's exact pi-multiple
 reduction makes many of these checks equalities of point enclosures, not
@@ -82,28 +82,55 @@ def test_primitive_exact_zeros():
         assert o.primitive_at(x) == Enclosure.point(Fraction(0))
 
 
-def test_extremum_heights_alternate():
-    assert Extremum(1).height() == Fraction(-2, 3)
-    assert Extremum(2).height() == Fraction(2, 5)
-    assert Extremum(3).height() == Fraction(-2, 7)
-    assert unit().primitive_at(Extremum(5)) == Enclosure.point(Fraction(-2, 11))
+PEAKS = (1, 2, 3, 10, 100)
+
+
+def peak_height(k: int) -> Fraction:
+    return Fraction(2 if k % 2 == 0 else -2, 2 * k + 1)
+
+
+@pytest.mark.parametrize("precision", (64, 96, 128))
+@pytest.mark.parametrize("k", PEAKS)
+def test_primitive_at_peak_encloses_its_height(k, precision):
+    # evaluates the kernel on the irrational peak point, not the formula
+    got = unit().primitive_at(Extremum(k).point(precision), precision)
+    assert got.contains(peak_height(k))
+    assert got.hi - got.lo < Fraction(1, 2**precision)
+
+
+def test_peaks_are_indexed_from_one():
     with pytest.raises(ValueError):
         Extremum(0)
 
 
-def test_extremum_point_and_derivative():
-    a1 = Extremum(1).point(96)
-    ref = 1 / mp.sqrt(6)
-    assert as_mp(a1.lo) <= ref <= as_mp(a1.hi)
-    d = unit().derivative_at(Extremum(1))
-    ref_d = -8 / mp.sqrt(6)
-    assert as_mp(d.lo) <= ref_d <= as_mp(d.hi)
+@pytest.mark.parametrize("precision", (64, 96, 128))
+@pytest.mark.parametrize("k", PEAKS)
+def test_primitive_difference_between_peaks_encloses_the_gap(k, precision):
+    # F(a_k) - F(a_(k+1)) = (-1)^k (2/(2k+1) + 2/(2k+3)), the witness's term
+    assert peak_height(k) - peak_height(k + 1) == (-1) ** k * oscillator._peak_gap(k)
+    o = unit()
+    got = (o.primitive_at(Extremum(k).point(precision), precision)
+           - o.primitive_at(Extremum(k + 1).point(precision), precision))
+    assert got.contains((-1) ** k * oscillator._peak_gap(k))
+    assert got.hi - got.lo < Fraction(1, 2**precision)
+
+
+@pytest.mark.parametrize("k", PEAKS)
+def test_derivative_at_peak_is_eight_times_the_point(k):
+    # the cosine term vanishes at the peak, so only (-1)^k 8 t survives
+    a = Extremum(k).point(96)
+    ref = 1 / mp.sqrt(2 + 4 * k)
+    assert as_mp(a.lo) <= ref <= as_mp(a.hi)
+    d = unit().derivative_at(a)
+    assert as_mp(d.lo) <= (-1) ** k * 8 * ref <= as_mp(d.hi)
     assert d.hi - d.lo < Fraction(1, 2**80)
 
 
-def test_extremum_derivative_scales_with_host_length():
+def test_peak_derivative_scales_with_host_length():
     host = Oscillator(Fraction(1, 4), Fraction(1, 2))
-    assert host.derivative_at(Extremum(1)) == 4 * unit().derivative_at(Extremum(1))
+    peak = Extremum(1).point(96)
+    # the chart maps the host point back onto the unit peak exactly
+    assert host.derivative_at(host.lo + host.length * peak) == 4 * unit().derivative_at(peak)
 
 
 def test_off_support_is_exactly_zero():
@@ -163,11 +190,6 @@ def test_interval_boxes_contain_point_values(x, width):
 # -- integration ------------------------------------------------------------
 
 
-def test_integral_between_peaks_is_exact():
-    got = kurzweil_integral(unit(), Extremum(2), Extremum(1))
-    assert got == Enclosure.point(Fraction(-16, 15))
-
-
 def test_full_integral_is_exactly_zero():
     assert kurzweil_integral(unit(), 0, 1) == Enclosure.point(Fraction(0))
 
@@ -184,7 +206,9 @@ def test_integral_validation():
     with pytest.raises(ValueError):
         kurzweil_integral(unit(), 0, Fraction(3, 2))
     with pytest.raises(ValueError):
-        kurzweil_integral(OscCombination.of({1: 1}), Extremum(1), 1)
+        kurzweil_integral(OscCombination.of({1: 1}), Fraction(-1, 2), 1)
+    with pytest.raises(TypeError):  # endpoints are rationals
+        kurzweil_integral(unit(), Enclosure(Fraction(1, 3), Fraction(1, 2)), 1)
 
 
 def test_hake_rows_shrink_like_four_eps_squared():
@@ -194,6 +218,7 @@ def test_hake_rows_shrink_like_four_eps_squared():
         assert row.integral == Enclosure.point(Fraction(0))  # integer phase
     generic = [Fraction(1, 3), Fraction(1, 5), Fraction(2, 7)]
     for eps, row in zip(generic, hake_table(o, generic)):
+        assert row.epsilon == eps
         assert abs(row.integral).hi <= 4 * eps * eps + Fraction(1, 2**60)
     with pytest.raises(ValueError):
         hake_table(o, [Fraction(0)])

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from realcert import stepseries
 from realcert.cantor import TowerSpec
 from realcert.certificates import CERTIFIED, InconclusiveAtBudget
 from realcert.stepseries import (
@@ -305,6 +306,57 @@ def test_basis_inequality_validation():
     clash = (fam[0], fam[0])
     with pytest.raises(ValueError):
         basis_inequality_check((1, 1), 1, 2, clash)
+
+
+def power(subseq, tower=TowerSpec("dyadic")) -> StepSeries:
+    return StepSeries(tower, PowerAlongSubsequence(Fraction(3, 2), subseq))
+
+
+@pytest.mark.parametrize("first,second,meet", [
+    ("arith:1:2", "arith:201:2", True),  # first shared exponent 201 lies past 24 terms
+    ("arith:1:2", "arith:2:2", False),
+    ("arith:1:4", "arith:3:6", True),  # gcd 2 divides 1 - 3: both hold 9
+    ("arith:1:4", "arith:2:6", False),
+    ((3, 500), "even", True),
+    ((3, 501), "even", False),
+    ((3, 501), (5, 501), True),
+], ids=["past-terms", "odd-even", "gcd-meets", "gcd-misses", "list-meets-rule",
+        "list-misses-rule", "lists-meet"])
+def test_basis_family_disjointness_is_decided_from_the_rules(first, second, meet):
+    family = (power(first), power(second))
+    for terms in (1, 24):
+        if meet:
+            with pytest.raises(ValueError, match="supports of members 1 and 2 overlap"):
+                basis_inequality_check((1, -1), 1, 2, family, terms)
+        else:
+            assert basis_inequality_check((1, -1), 1, 2, family, terms).margin_lower > 0
+
+
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 12), st.integers(1, 12))
+@settings(max_examples=200, deadline=None)
+def test_rule_overlap_matches_a_scan_over_one_period(a, s, b, t):
+    # past max(a, b) the shared exponents repeat with period lcm(s, t)
+    scan = any(n % s == a % s and n % t == b % t
+               for n in range(max(a, b), max(a, b) + s * t))
+    rules = (PowerAlongSubsequence(2, f"arith:{a}:{s}"),
+             PowerAlongSubsequence(2, f"arith:{b}:{t}"))
+    assert stepseries._supports_meet(*rules, None) == scan
+
+
+def test_basis_family_on_an_explicit_tower_counts_only_its_generations():
+    tower = TowerSpec("explicit", tuple(Fraction(1, 2**j) for j in range(2, 6)))
+    # both rules are odd, but generation 5 does not exist on a 4-generation tower
+    family = (power("arith:1:2", tower), power("arith:5:2", tower))
+    basis_inequality_check((1, -1), 1, 2, family)
+    with pytest.raises(ValueError, match="overlap"):
+        basis_inequality_check((1, -1), 1, 2, (power("arith:1:2", tower),
+                                               power("arith:3:2", tower)))
+
+
+def test_basis_family_needs_one_tower():
+    family = (power("arith:1:2"), power("arith:2:2", TowerSpec("factorial")))
+    with pytest.raises(ValueError, match="share one tower"):
+        basis_inequality_check((1, -1), 1, 2, family)
 
 
 # -- step functions and the perturbation ------------------------------------
