@@ -17,10 +17,13 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .certificates import CERTIFIED, Certificate, InconclusiveAtBudget
-from .enclosure import Enclosure, _sin_pi_range, pi_const, sin_pi, sqrt_enc
+from .enclosure import Enclosure, _sin_pi_range, pi_const, sqrt_enc
+# bound for bench/test_bench.py::Tracing::test_wrappers_count_and_are_removed
+from .enclosure import sin_pi  # noqa: F401
 from .rational import (HALF, ONE, ZERO, RationalLike, as_fraction, dyadic_floor,
                        format_fraction)
 
@@ -55,13 +58,26 @@ class UnboundedSpan(ValueError):
 # ---------------------------------------------------------------------------
 
 
+def _phase_ends(a_lo: int, b_lo: int, a_hi: int, b_hi: int) -> tuple[int, int, int, int]:
+    # the phase 1/(4 s^2) over a_lo/b_lo <= s <= a_hi/b_hi, s > 0, falls as
+    # s grows: its ends as _sin_pi_range takes them, one key per s for both
+    # branches
+    return b_hi * b_hi, 4 * a_hi * a_hi, b_lo * b_lo, 4 * a_lo * a_lo
+
+
 def _primitive_half(s_lo: Fraction, s_hi: Fraction, precision: int) -> Enclosure:
     # 4 s^2 sin(pi/(4 s^2)) over 0 <= s_lo <= s <= s_hi <= 1/2
-    sq = Enclosure(s_lo, s_hi).square() * 4
+    a_hi, b_hi = s_hi.numerator, s_hi.denominator
     if s_lo == 0:
-        return Enclosure(-sq.hi, sq.hi)  # |value| <= 4 s^2, sine bounded
-    phase = Enclosure(1 / sq.hi, 1 / sq.lo)
-    return sq * sin_pi(phase, precision)
+        m = Fraction(4 * a_hi * a_hi, b_hi * b_hi)
+        return Enclosure(-m, m)  # |value| <= 4 s^2, sine bounded
+    a_lo, b_lo = s_lo.numerator, s_lo.denominator
+    sin_lo, sin_hi, w = _sin_pi_range(*_phase_ends(a_lo, b_lo, a_hi, b_hi), precision)
+    # 4 s^2 sin, s > 0: the sign of each sine end picks its end of s
+    x_a, x_b = (a_lo, b_lo) if sin_lo >= 0 else (a_hi, b_hi)
+    y_a, y_b = (a_hi, b_hi) if sin_hi >= 0 else (a_lo, b_lo)
+    return Enclosure(Fraction(4 * x_a * x_a * sin_lo, x_b * x_b << w),
+                     Fraction(4 * y_a * y_a * sin_hi, y_b * y_b << w))
 
 
 def _derivative_half(s_lo: Fraction, s_hi: Fraction, precision: int) -> Enclosure:
@@ -72,11 +88,11 @@ def _derivative_half(s_lo: Fraction, s_hi: Fraction, precision: int) -> Enclosur
     # interval arithmetic gives, and one Fraction is built per end
     a_lo, b_lo = s_lo.numerator, s_lo.denominator
     a_hi, b_hi = s_hi.numerator, s_hi.denominator
-    p_lo, p_hi = (b_hi * b_hi, 4 * a_hi * a_hi), (b_lo * b_lo, 4 * a_lo * a_lo)  # phase ends
-    sin_lo, sin_hi, w = _sin_pi_range(*p_lo, *p_hi, precision)
+    p_lo_n, p_lo_d, p_hi_n, p_hi_d = _phase_ends(a_lo, b_lo, a_hi, b_hi)
+    sin_lo, sin_hi, w = _sin_pi_range(p_lo_n, p_lo_d, p_hi_n, p_hi_d, precision)
     # cos(pi c) = sin(pi (c + 1/2))
-    cos_lo, cos_hi, _ = _sin_pi_range(2 * p_lo[0] + p_lo[1], 2 * p_lo[1],
-                                      2 * p_hi[0] + p_hi[1], 2 * p_hi[1], precision)
+    cos_lo, cos_hi, _ = _sin_pi_range(2 * p_lo_n + p_lo_d, 2 * p_lo_d,
+                                      2 * p_hi_n + p_hi_d, 2 * p_hi_d, precision)
     # swing = 8 s sin, s > 0: the sign of each sine end picks its end of s
     x_a, x_b = (a_lo, b_lo) if sin_lo >= 0 else (a_hi, b_hi)
     y_a, y_b = (a_hi, b_hi) if sin_hi >= 0 else (a_lo, b_lo)
@@ -114,19 +130,22 @@ def _unit_branch(t_lo: Fraction, t_hi: Fraction, precision: int,
 # boxes, so the branch and bound asks for each one many times over; the
 # integer key costs a memo hit no Fraction hash
 @lru_cache(maxsize=1 << 11)
-def _unit_measure(n: int, precision: int) -> tuple[Fraction, Fraction]:
+def _unit_measure(n: int, precision: int) -> tuple[int, int, int]:
     """Unit primitive on node n = 2^d + i of the bisection of [0, 1].
 
-    Returns the certified |value| at the box midpoint (2i+1)/2^(d+1),
-    taken at precision + 32, and a sup bound of |value| over the box
-    [i/2^d, (i+1)/2^d].
+    Returns (point, box, e), both over 2^e: the certified |value| at the
+    box midpoint (2i+1)/2^(d+1), taken at precision + 32, and a sup bound
+    of |value| over the box [i/2^d, (i+1)/2^d].
     """
     d = n.bit_length() - 1
     i = n - (1 << d)
     t = Fraction(2 * i + 1, 2 << d)
     point = _unit_branch(t, t, precision + 32, True).mignitude()
-    box = _unit_branch(Fraction(i, 1 << d), Fraction(i + 1, 1 << d), precision, True)
-    return point, box.mag()
+    box = _unit_branch(Fraction(i, 1 << d), Fraction(i + 1, 1 << d), precision, True).mag()
+    # dyadic ends and sine ends on a 2**-w grid give dyadic values
+    grid = max(point.denominator, box.denominator)
+    return (point.numerator * (grid // point.denominator),
+            box.numerator * (grid // box.denominator), grid.bit_length() - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -498,24 +517,37 @@ def alexiewicz_norm(obj: "OscCombination | Oscillator", tol: RationalLike,
     if isinstance(obj, OscCombination):
         if obj.is_zero:
             return Enclosure(ZERO, ZERO)
-        spans = [(k + 1, abs(alpha)) for k, alpha in obj.alphas]
+        alphas = [(k + 1, abs(alpha)) for k, alpha in obj.alphas]
     else:
-        spans = [(0, ONE)]
-
-    def measure(scale: Fraction, n: int) -> tuple[Fraction, Fraction]:
-        # certified |value| at the box midpoint, and a sup bound over the box
-        point, box = _unit_measure(n, precision)
-        return scale * point, scale * box
-
-    floor = ZERO
+        alphas = [(0, ONE)]
+    # every value below is an integer over den << bits, with |alpha| =
+    # scale / den on one common den; bits grows when a memo value needs it
+    den = lcm(*(alpha.denominator for _, alpha in alphas))
+    spans = [(rank, alpha.numerator * (den // alpha.denominator)) for rank, alpha in alphas]
+    bits = 0
+    floor = 0
     # boxes (rank, n) widest first, and the same live boxes by bound,
     # largest first; a box popped from heap leaves live, and its by_bound
     # entry goes stale and drops off the top when it surfaces
-    heap: list[tuple[int, int, Fraction, Fraction]] = []
-    by_bound: list[tuple[Fraction, int, int]] = []
+    heap: list[tuple[int, int, int, int]] = []
+    by_bound: list[tuple[int, int, int]] = []
     live: set[tuple[int, int]] = set()
 
-    def push(rank: int, n: int, scale: Fraction, bound: Fraction) -> None:
+    def measure(scale: int, n: int) -> tuple[int, int]:
+        # certified |value| at the box midpoint, and a sup bound over the box
+        nonlocal bits, floor
+        point, box, e = _unit_measure(n, precision)
+        if e > bits:
+            # a finer grid scales every value by one power of two, so both
+            # heaps stay in order; the headroom spares the next depths this
+            shift = e + 32 - bits
+            bits += shift
+            floor <<= shift
+            heap[:] = [(r, m, a, b << shift) for r, m, a, b in heap]
+            by_bound[:] = [(b << shift, r, m) for b, r, m in by_bound]
+        return scale * point << bits - e, scale * box << bits - e
+
+    def push(rank: int, n: int, scale: int, bound: int) -> None:
         heapq.heappush(heap, (rank, n, scale, bound))
         heapq.heappush(by_bound, (-bound, rank, n))
         live.add((rank, n))
@@ -529,8 +561,8 @@ def alexiewicz_norm(obj: "OscCombination | Oscillator", tol: RationalLike,
             heapq.heappop(by_bound)
         # floor may have risen past a stale box bound since its push
         ceiling = max(-by_bound[0][0], floor)
-        if ceiling - floor <= tol:
-            return Enclosure(floor, ceiling)
+        if (ceiling - floor) * tol.denominator <= tol.numerator * (den << bits):
+            return Enclosure(Fraction(floor, den << bits), Fraction(ceiling, den << bits))
         rank, n, scale, bound = heapq.heappop(heap)
         live.discard((rank, n))
         if bound <= floor:
@@ -545,7 +577,7 @@ def alexiewicz_norm(obj: "OscCombination | Oscillator", tol: RationalLike,
                 f"{len(heap)} boxes alive at tolerance {tol}",
                 {"tolerance": tol, "queue_limit": queue_limit})
     # every box was dominated by a certified point value
-    return Enclosure(floor, floor)
+    return Enclosure.point(Fraction(floor, den << bits))
 
 
 # ---------------------------------------------------------------------------

@@ -527,6 +527,42 @@ def test_alexiewicz_matches_reference_at_the_default_queue():
                         Fraction(1, 10**4), 128)
 
 
+@pytest.mark.parametrize("coeffs", [
+    {1: 1, 2: 1, 3: 1},  # equal bounds across supports: ties broken by (rank, n)
+    {2: Fraction(-3, 2), 5: Fraction(3, 2)},
+    {1: Fraction(1, 3), 2: Fraction(-2, 7), 4: Fraction(5, 9)},  # mixed denominators
+])
+@pytest.mark.parametrize("tol, queue_limit", [(Fraction(1, 100), 100_000),
+                                              (Fraction(1, 1000), 100_000),
+                                              (Fraction(1, 10**6), 40)])
+def test_alexiewicz_ties_and_mixed_denominators(coeffs, tol, queue_limit):
+    c = OscCombination.of(coeffs)
+    got = alexiewicz_norm(c, tol, queue_limit=queue_limit)
+    assert got.as_json() == reference_alexiewicz(c, tol, queue_limit=queue_limit).as_json()
+
+
+def test_check_alexiewicz_search_path():
+    # the boxes the bisection visits, not only the bytes it returns
+    _unit_measure.cache_clear()
+    outcome = _check_alexiewicz((2, 3), _draw_combinations(_seeded(), 3))
+    assert exit_code(jsonable(outcome)) == 0
+    assert _unit_measure.cache_info().misses == 515
+    _unit_measure.cache_clear()
+    alexiewicz_norm(OscCombination.of({1: 1}), Fraction(1, 1000))
+    assert _unit_measure.cache_info().misses == 185
+
+
+def test_derivative_sine_shares_the_primitive_phase_key():
+    x = Fraction(777, 2000)
+    _sin_pi_fx.cache_clear()
+    osc_eval(Oscillator(kind="primitive"), x, 128)
+    before = _sin_pi_fx.cache_info()
+    osc_eval(Oscillator(kind="derivative"), x, 128)
+    after = _sin_pi_fx.cache_info()
+    # the sine finds the primitive's entry; only the cosine's phase is new
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+
+
 def test_check_alexiewicz_sin_pi_effort():
     # the bisection's children share phase endpoints with their parent
     # and their siblings, so most kernel points are asked for again
@@ -554,10 +590,19 @@ def reference_derivative_half(s_lo, s_hi, precision):
     return swing - pull
 
 
+def reference_primitive_half(s_lo, s_hi, precision):
+    """The primitive branch in Fraction interval arithmetic."""
+    sq = Enclosure(s_lo, s_hi).square() * 4
+    if s_lo == 0:
+        return Enclosure(-sq.hi, sq.hi)
+    phase = Enclosure(1 / sq.hi, 1 / sq.lo)
+    return sq * reference_sin_pi(phase, precision)
+
+
 def _over_fractions(fn, *args):
-    """fn(*args) with the oscillator's sine and derivative branch on Fractions."""
+    """fn(*args) with the oscillator's primitive and derivative branches on Fractions."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oscillator, "sin_pi", reference_sin_pi)
+        patch.setattr(oscillator, "_primitive_half", reference_primitive_half)
         patch.setattr(oscillator, "_derivative_half", reference_derivative_half)
         return fn(*args)
 
