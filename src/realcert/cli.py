@@ -609,10 +609,9 @@ def _cmd_report(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: _Parser, spec_required: bool = True) -> None:
+def _add_common(p: _Parser) -> None:
     p.add_argument("--spec", action="append", metavar="PATH",
-                   help="function spec JSON file" +
-                        ("" if spec_required else " (optional)"))
+                   help="function spec JSON file")
     _add_budget_flags(p)
 
 
@@ -717,7 +716,7 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=_cmd_certify_basis)
     p = certify.add_parser("perturbation",
                            help="ball around a step function meets the target set")
-    _add_common(p, spec_required=False)
+    _add_budget_flags(p)
     p.add_argument("--bound", type=_fraction_flag, required=True, metavar="N")
     p.add_argument("--radius", type=_fraction_flag, required=True, metavar="R")
     p.add_argument("--interval", nargs=2, type=_fraction_flag, required=True,

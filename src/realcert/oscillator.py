@@ -113,17 +113,13 @@ def _unit_branch(t_lo: Fraction, t_hi: Fraction, precision: int,
     if t_lo == t_hi and (t_lo == 0 or t_lo == 1):
         return Enclosure(ZERO, ZERO)
     half = _primitive_half if primitive else _derivative_half
-    parts: list[Enclosure] = []
-    if t_lo <= HALF:
-        parts.append(half(t_lo, min(t_hi, HALF), precision))
-    if t_hi > HALF:
-        # same formula in the reflected variable; the primitive flips sign
-        mirrored = half(1 - t_hi, 1 - max(t_lo, HALF), precision)
-        parts.append(-mirrored if primitive else mirrored)
-    out = parts[0]
-    for piece in parts[1:]:
-        out = out.hull(piece)
-    return out
+    if t_hi <= HALF:
+        return half(t_lo, t_hi, precision)
+    # same formula in the reflected variable; the primitive flips sign
+    out = half(1 - t_hi, 1 - max(t_lo, HALF), precision)
+    if primitive:
+        out = -out
+    return out.hull(half(t_lo, HALF, precision)) if t_lo <= HALF else out
 
 
 # every support's chart maps its dyadic boxes onto the same unit-chart
@@ -135,13 +131,17 @@ def _unit_measure(n: int, precision: int) -> tuple[int, int, int]:
 
     Returns (point, box, e), both over 2^e: the certified |value| at the
     box midpoint (2i+1)/2^(d+1), taken at precision + 32, and a sup bound
-    of |value| over the box [i/2^d, (i+1)/2^d].
+    of |value| over the box [i/2^d, (i+1)/2^d].  F(1 - t) = -F(t), so
+    |F| is symmetric about 1/2: node i measures as its mirror
+    2^d - 1 - i, which lies in the left half, and the root [0, 1] as
+    [0, 1/2].
     """
     d = n.bit_length() - 1
-    i = n - (1 << d)
-    t = Fraction(2 * i + 1, 2 << d)
-    point = _unit_branch(t, t, precision + 32, True).mignitude()
-    box = _unit_branch(Fraction(i, 1 << d), Fraction(i + 1, 1 << d), precision, True).mag()
+    i = min(n - (1 << d), (2 << d) - 1 - n)
+    s = Fraction(2 * i + 1, 2 << d)
+    point = _primitive_half(s, s, precision + 32).mignitude()
+    box = _primitive_half(Fraction(i, 1 << d), min(Fraction(i + 1, 1 << d), HALF),
+                          precision).mag()
     # dyadic ends and sine ends on a 2**-w grid give dyadic values
     grid = max(point.denominator, box.denominator)
     return (point.numerator * (grid // point.denominator),
@@ -592,19 +592,14 @@ def slope_bound(o: Oscillator, x_lo: RationalLike, x_hi: RationalLike,
     On the unit chart the slope of the derivative branch is
     8 sin - (2 pi / t^2) cos - (pi^2 / t^4) sin, dominated by
     8 + 2 pi/t^2 + pi^2/t^4 with t the chart distance to the nearer
-    endpoint.  Undoing the chart divides by the host length twice: once
-    for the derivative's own scaling and once for the slope.
+    endpoint.  F' is symmetric about 1/2 and the bound falls as t grows,
+    so the span's worst point is the end nearest 0 or 1.  Undoing the
+    chart divides by the host length twice: once for the derivative's
+    own scaling and once for the slope.
     """
     a, b = as_fraction(x_lo), as_fraction(x_hi)
     if not o.lo < a < b < o.hi:
         raise UnboundedSpan(f"span [{a}, {b}] must sit strictly inside the support")
-    t_lo, t_hi = (a - o.lo) / o.length, (b - o.lo) / o.length
+    t = min(a - o.lo, o.hi - b) / o.length
     pi_hi = pi_const(precision).hi
-    bound = ZERO
-    if t_lo < HALF:  # left-branch part, worst at the low end
-        t = t_lo
-        bound = 8 + 2 * pi_hi / t ** 2 + pi_hi ** 2 / t ** 4
-    if t_hi > HALF:
-        t = 1 - t_hi
-        bound = max(bound, 8 + 2 * pi_hi / t ** 2 + pi_hi ** 2 / t ** 4)
-    return bound / o.length ** 2
+    return (8 + 2 * pi_hi / t ** 2 + pi_hi ** 2 / t ** 4) / o.length ** 2

@@ -316,10 +316,10 @@ def l1_norm(s: StepSeries, terms: int = 64, depth: int = 20) -> Enclosure:
     """Enclosure of the integral of |s| over [0, 1].
 
     Sums |value| times each generation's measure enclosure for the first
-    `terms` support generations, then adds an analytic tail bound: a
-    geometric sum for the dyadic tower (needs tilt < 2), a factorially
-    dominated one for the factorial tower.  Everything involved is frozen,
-    so results are cached; family checks reuse member norms across calls.
+    `terms` support generations, then adds a tail bound: a geometric sum
+    on the dyadic tower (needs tilt < 2), a factorially dominated one on
+    the factorial tower, the exact rest of the series on an explicit one.
+    Everything is frozen, so family checks reuse cached member norms.
     """
     if terms < 1:
         raise ValueError("need at least one term")
@@ -341,8 +341,13 @@ def l1_norm(s: StepSeries, terms: int = 64, depth: int = 20) -> Enclosure:
             last = n
         if limit is not None and n_terms == limit:
             tail = ZERO  # the series itself is finite
-        else:
+        elif count is None:
             tail = _power_tail(s.tower, s.rule.theta, last)
+        else:
+            # the rule's own generations past `last`: none past the tower's end
+            s.tower.validate(count)
+            tail = sum((s.rule.theta**m * s.tower.mass(m) for m in range(last + 1, count + 1)
+                        if s.rule.support_contains(m)), ZERO)
         return Enclosure(dyadic_sum(lows), dyadic_sum(highs) + tail)
     # monomial combination: every generation contributes
     for j in range(1, s.tower.upto(terms) + 1):

@@ -282,6 +282,14 @@ def test_certify_perturbation_default_zero_function(capsys):
     assert out["payload"]["window_measure"] == "1/10"
 
 
+def test_certify_perturbation_takes_no_spec(capsys):
+    # it reads no spec, so a --spec is a usage error, not ignored
+    code, out = run(capsys, "certify", "perturbation", "--spec", "nonexistent.json",
+                    "--bound", "1", "--radius", "1/2", "--interval", "0", "1")
+    assert code == 1
+    assert out == {"error": "unrecognized arguments: --spec nonexistent.json"}
+
+
 def test_certify_perturbation_with_pieces(capsys, tmp_path):
     pieces = tmp_path / "pieces.json"
     pieces.write_text(json.dumps([["0", "1/2", "1/2"]]))

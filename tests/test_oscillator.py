@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from realcert.certificates import CERTIFIED, InconclusiveAtBudget, exit_code, jsonable
@@ -607,6 +607,13 @@ def _over_fractions(fn, *args):
         return fn(*args)
 
 
+def _or_unbounded(fn, *args):
+    try:
+        return fn(*args)
+    except UnboundedSpan:  # a derivative box that reaches 0 or 1
+        return "unbounded"
+
+
 def _dyadic_box(d, i):
     return Fraction(i, 1 << d), Fraction(i + 1, 1 << d)
 
@@ -635,14 +642,8 @@ _CHART_BOXES = st.one_of(
 @given(_CHART_BOXES, PRECISIONS, st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_unit_branch_is_the_fraction_reference(box, precision, primitive):
-    def branch(*args):
-        try:
-            return _unit_branch(*args)
-        except UnboundedSpan:  # a derivative box that reaches 0 or 1
-            return "unbounded"
-
-    args = (*box, precision, primitive)
-    assert branch(*args) == _over_fractions(branch, *args)
+    args = (_unit_branch, *box, precision, primitive)
+    assert _or_unbounded(*args) == _over_fractions(_or_unbounded, *args)
 
 
 @given(st.integers(min_value=0, max_value=14).flatmap(
@@ -652,6 +653,106 @@ def test_unit_branch_is_the_fraction_reference(box, precision, primitive):
 def test_unit_measure_is_the_fraction_reference(n, precision):
     want = _over_fractions(_unit_measure.__wrapped__, n, precision)
     assert _unit_measure(n, precision) == want
+
+
+# -- mirror oracle: both half-branches evaluated, mirrored and hulled ----------
+
+
+def reference_unit_branch(t_lo, t_hi, precision, primitive):
+    """Reference: each half-branch the box meets, evaluated and hulled."""
+    if t_lo == t_hi and (t_lo == 0 or t_lo == 1):
+        return Enclosure(Fraction(0), Fraction(0))
+    half = oscillator._primitive_half if primitive else oscillator._derivative_half
+    parts = []
+    if t_lo <= Fraction(1, 2):
+        parts.append(half(t_lo, min(t_hi, Fraction(1, 2)), precision))
+    if t_hi > Fraction(1, 2):
+        mirrored = half(1 - t_hi, 1 - max(t_lo, Fraction(1, 2)), precision)
+        parts.append(-mirrored if primitive else mirrored)
+    out = parts[0]
+    for piece in parts[1:]:
+        out = out.hull(piece)
+    return out
+
+
+def reference_unit_measure(n, precision):
+    """Reference: node n = 2^d + i measured on its own box, both halves hulled."""
+    d = n.bit_length() - 1
+    i = n - (1 << d)
+    t = Fraction(2 * i + 1, 2 << d)
+    point = reference_unit_branch(t, t, precision + 32, True).mignitude()
+    box = reference_unit_branch(*_dyadic_box(d, i), precision, True).mag()
+    grid = max(point.denominator, box.denominator)
+    return (point.numerator * (grid // point.denominator),
+            box.numerator * (grid // box.denominator), grid.bit_length() - 1)
+
+
+def reference_slope_bound(o, x_lo, x_hi, precision=48):
+    """Reference: the larger of the left- and right-branch bounds the span meets."""
+    a, b = Fraction(x_lo), Fraction(x_hi)
+    t_lo, t_hi = (a - o.lo) / o.length, (b - o.lo) / o.length
+    pi_hi = pi_const(precision).hi
+    bound = Fraction(0)
+    if t_lo < Fraction(1, 2):
+        bound = 8 + 2 * pi_hi / t_lo ** 2 + pi_hi ** 2 / t_lo ** 4
+    if t_hi > Fraction(1, 2):
+        t = 1 - t_hi
+        bound = max(bound, 8 + 2 * pi_hi / t ** 2 + pi_hi ** 2 / t ** 4)
+    return bound / o.length ** 2
+
+
+@pytest.mark.parametrize("precision", (64, 96))
+def test_unit_measure_mirrors_the_left_half(precision):
+    # every node of the first nine depths, the root [0, 1] among them
+    for n in range(1, 1 << 9):
+        assert _unit_measure.__wrapped__(n, precision) == reference_unit_measure(n, precision)
+
+
+def test_unit_measure_mirrors_on_the_check_alexiewicz_nodes(monkeypatch):
+    seen = set()
+
+    def record(n, precision):
+        seen.add((n, precision))
+        return _unit_measure(n, precision)
+
+    monkeypatch.setattr(oscillator, "_unit_measure", record)
+    _check_alexiewicz((2, 3), _draw_combinations(_seeded(), 3))
+    assert max(n for n, _ in seen) >= 1 << 9
+    for n, precision in sorted(seen):
+        assert _unit_measure.__wrapped__(n, precision) == reference_unit_measure(n, precision)
+
+
+_HALF = Fraction(1, 2)
+_MIRROR_BOXES = [
+    # points: the ends, the centre, and a pair of mirror points
+    (Fraction(0), Fraction(0)), (_HALF, _HALF), (Fraction(1), Fraction(1)),
+    (Fraction(3, 10), Fraction(3, 10)), (Fraction(7, 10), Fraction(7, 10)),
+    # boxes ending or starting at 1/2, and their neighbours
+    (Fraction(1, 4), _HALF), (_HALF, Fraction(3, 4)), (Fraction(3, 8), _HALF),
+    (_HALF, Fraction(5, 8)), (Fraction(1, 3), _HALF), (_HALF, Fraction(2, 3)),
+    # boxes straddling 1/2, symmetric and not
+    (Fraction(1, 4), Fraction(3, 4)), (Fraction(1, 3), Fraction(5, 9)),
+    (Fraction(49, 100), Fraction(51, 100)), (Fraction(2, 5), Fraction(9, 10)),
+    # boxes reaching an end
+    (Fraction(0), _HALF), (_HALF, Fraction(1)), (Fraction(0), Fraction(1)),
+    (Fraction(0), Fraction(1, 8)), (Fraction(7, 8), Fraction(1)),
+    (Fraction(1, 8), Fraction(1)), (Fraction(0), Fraction(7, 8)),
+]
+
+
+@pytest.mark.parametrize("primitive", (True, False))
+@pytest.mark.parametrize("box", _MIRROR_BOXES, ids=lambda box: f"{box[0]}..{box[1]}")
+def test_unit_branch_matches_both_halves_on_the_mirror_cases(box, primitive):
+    for precision in (32, 64, 128):
+        args = (*box, precision, primitive)
+        assert _or_unbounded(_unit_branch, *args) == _or_unbounded(reference_unit_branch, *args)
+
+
+@given(_CHART_BOXES, PRECISIONS, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_unit_branch_matches_both_halves(box, precision, primitive):
+    args = (*box, precision, primitive)
+    assert _or_unbounded(_unit_branch, *args) == _or_unbounded(reference_unit_branch, *args)
 
 
 def test_alexiewicz_rejects_bad_tolerance():
@@ -681,6 +782,38 @@ def test_slope_bound_controls_finite_differences(n):
     d2 = o.derivative_at(x + h, precision=80)
     gap = abs(d2 - d1).hi  # includes both enclosure widths
     assert gap <= bound * h + Fraction(1, 2**60)
+
+
+_SLOPE_SPANS = [
+    # left of 1/2, ending at it, across it, starting at it, right of it
+    (Fraction(1, 10), Fraction(3, 10)), (Fraction(1, 5), _HALF),
+    (Fraction(1, 5), Fraction(7, 10)), (Fraction(3, 10), Fraction(9, 10)),
+    (Fraction(1, 10), Fraction(9, 10)), (_HALF, Fraction(7, 10)),
+    (Fraction(7, 10), Fraction(19, 20)), (Fraction(1, 1000), Fraction(999, 1000)),
+]
+
+
+@pytest.mark.parametrize("host", [(Fraction(0), Fraction(1)), (Fraction(1, 4), Fraction(1, 2))],
+                         ids=("unit", "dyadic"))
+@pytest.mark.parametrize("span", _SLOPE_SPANS, ids=lambda span: f"{span[0]}..{span[1]}")
+def test_slope_bound_is_the_larger_branch_bound(host, span):
+    o = Oscillator(*host)
+    a, b = (o.lo + o.length * t for t in span)
+    for precision in (32, 48, 96):
+        assert slope_bound(o, a, b, precision) == reference_slope_bound(o, a, b, precision)
+
+
+@given(st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000),
+                    max_denominator=1000),
+       st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000),
+                    max_denominator=1000),
+       st.sampled_from([(Fraction(0), Fraction(1)), (Fraction(1, 8), Fraction(1, 4))]))
+@settings(max_examples=100, deadline=None)
+def test_slope_bound_matches_the_branch_max(t1, t2, host):
+    assume(t1 != t2)
+    o = Oscillator(*host)
+    a, b = (o.lo + o.length * t for t in sorted((t1, t2)))
+    assert slope_bound(o, a, b) == reference_slope_bound(o, a, b)
 
 
 def test_osc_eval_alias():

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from realcert import stepseries
-from realcert.cantor import TowerSpec
+from realcert.cantor import InfeasibleMass, TowerSpec
 from realcert.certificates import CERTIFIED, InconclusiveAtBudget
+from realcert.enclosure import Enclosure
 from realcert.stepseries import (
     DivergentTail,
     DominanceIndex,
@@ -157,6 +158,40 @@ def test_l1_norm_finite_series_is_tailless():
     enc = l1_norm(s, terms=10, depth=24)
     assert enc.contains(Fraction(2 * 1, 2) + Fraction(4 * 1, 4))
     assert enc.hi - enc.lo < Fraction(1, 1000)
+
+
+_FOUR_GENERATIONS = TowerSpec("explicit", tuple(Fraction(1, 2**j) for j in range(2, 6)))
+
+
+def test_l1_norm_on_an_explicit_tower_sums_only_the_rule_generations():
+    def norm(subseq):
+        return l1_norm(StepSeries(_FOUR_GENERATIONS, PowerAlongSubsequence(Fraction(3, 2), subseq)))
+
+    # no generation of arith:5:2 lies on the tower
+    assert norm("arith:5:2") == Enclosure(Fraction(0), Fraction(0))
+    # generations 1 and 3: (3/2)/4 + (27/8)/16
+    enc = norm("arith:1:2")
+    assert enc.contains(Fraction(75, 128))
+    assert enc.hi - enc.lo < Fraction(1, 10**6)
+
+
+@pytest.mark.parametrize("subseq, terms, exact", [
+    ("arith:1:2", 1, Fraction(75, 128)),  # generation 3 in the tail, not 2 or 4
+    ("arith:2:2", 1, Fraction(9, 32) + Fraction(81, 512)),  # generation 4 in the tail
+    ("all", 2, sum(Fraction(3, 2)**j * Fraction(1, 2**(j + 1)) for j in range(1, 5))),
+])
+def test_l1_norm_explicit_tail_is_the_rule_remainder(subseq, terms, exact):
+    # past the term budget, the tail adds the exact remainder to the upper end
+    s = StepSeries(_FOUR_GENERATIONS, PowerAlongSubsequence(Fraction(3, 2), subseq))
+    enc = l1_norm(s, terms=terms)
+    assert enc.contains(exact)
+    assert enc.hi - exact < Fraction(1, 10**6)
+
+
+def test_l1_norm_refuses_an_infeasible_explicit_tower_past_the_rule():
+    tower = TowerSpec("explicit", (Fraction(1, 4), Fraction(1, 8), Fraction(2)))
+    with pytest.raises(InfeasibleMass):
+        l1_norm(StepSeries(tower, PowerAlongSubsequence(Fraction(3, 2), "arith:5:2")))
 
 
 def test_l1_norm_divergent_tilt_refused():
