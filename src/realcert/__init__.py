@@ -17,7 +17,8 @@ from importlib import import_module
 
 __version__ = "0.5.0"
 
-# home module -> the public names it exports through the package
+# home module -> the public names it exports through the package: the
+# package's only export list, as no module declares __all__
 _EXPORTS: dict[str, tuple[str, ...]] = {
     "cantor": ("CantorApprox", "CantorSpec", "ComponentWitness", "TowerApprox",
                "TowerSpec", "find_component", "tower_generation"),

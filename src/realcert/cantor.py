@@ -26,18 +26,6 @@ from .certificates import InconclusiveAtBudget
 from .enclosure import Enclosure
 from .rational import ONE, ZERO, RationalLike, as_fraction, format_fraction, pow2
 
-__all__ = [
-    "CantorApprox",
-    "CantorSpec",
-    "ComponentWitness",
-    "DepthTooSmall",
-    "InfeasibleMass",
-    "PointWalk",
-    "TowerApprox",
-    "TowerSpec",
-    "find_component",
-    "tower_generation",
-]
 
 # sorted, interior-disjoint closed intervals as (lo, hi) pairs
 Intervals = tuple[tuple[Fraction, Fraction], ...]

@@ -17,21 +17,6 @@ from typing import Any, Callable
 from .enclosure import Enclosure
 from .rational import format_fraction
 
-__all__ = [
-    "CERTIFIED",
-    "COMPUTED",
-    "EXIT_FAILED",
-    "EXIT_INCONCLUSIVE",
-    "EXIT_OK",
-    "FAILED",
-    "INCONCLUSIVE",
-    "Certificate",
-    "InconclusiveAtBudget",
-    "jsonable",
-    "canonical_dumps",
-    "exit_code",
-    "timed_check",
-]
 
 CERTIFIED = "certified"
 COMPUTED = "computed"

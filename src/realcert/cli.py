@@ -34,14 +34,15 @@ KINDS = ("tower-series", "jump-polynomial", "oscillator-combination")
 
 # Every budget key: (default, least, most, ceilings).  A request outside
 # least..most exits 1.  ceilings maps a command, or a "report:" check, to
-# the most it runs that key at; a larger request runs at the ceiling.
+# the most it runs that key at; a larger request runs at the ceiling.  The
+# report's Alexiewicz check runs the "norm alexiewicz" search and ceiling.
 BUDGETS: dict[str, tuple] = {
     "maxgen": (20, 1, 64, {"tower build": 24, "report: measure": 6}),
     "depth": (20, 1, 64, {"tower build": 40, "tower show": 20, "certify basis": 20,
                           "report: measure": 16, "report: l1": 20}),
     "terms": (64, 1, 4096, {"norm l1": 200, "certify basis": 48, "report: l1": 48,
                             "report: variation": 64}),
-    "precision": (128, 1, 1024, {"norm alexiewicz": 128, "report: alexiewicz": 128}),
+    "precision": (128, 1, 1024, {"norm alexiewicz": 128}),
     "tolerance": (Fraction(1, 10**6), Fraction(1, 10**6), Fraction(1), {}),
 }
 DEFAULT_BUDGET: dict[str, object] = {key: row[0] for key, row in BUDGETS.items()}
@@ -581,8 +582,7 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], object]]]:
 
         def alexiewicz() -> dict | InconclusiveAtBudget:
             tol = budget["tolerance"]
-            enc = alexiewicz_norm(obj, tol,
-                                  _at_ceilings(budget, "report: alexiewicz")["precision"])
+            enc = alexiewicz_norm(obj, tol, _at_ceilings(budget, "norm alexiewicz")["precision"])
             if isinstance(enc, InconclusiveAtBudget):
                 return enc
             return {"verdict": COMPUTED, "norm": enc, "tolerance": tol}

@@ -102,14 +102,6 @@ class Enclosure:
 
     # -- inspection ---------------------------------------------------
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def is_point(self) -> bool:
-        return self.lo == self.hi
-
     def mag(self) -> Fraction:
         """Upper bound for |x| over the enclosure."""
         return max(-self.lo, self.hi)
@@ -170,15 +162,6 @@ class Enclosure:
 
     def __abs__(self) -> "Enclosure":
         return Enclosure(self.mignitude(), self.mag())
-
-    def square(self) -> "Enclosure":
-        """Tight interval square (never dips below 0)."""
-        if self.lo >= 0:
-            return Enclosure(self.lo * self.lo, self.hi * self.hi)
-        if self.hi <= 0:
-            return Enclosure(self.hi * self.hi, self.lo * self.lo)
-        m = self.mag()
-        return Enclosure(ZERO, m * m)
 
     # -- lattice ------------------------------------------------------
 

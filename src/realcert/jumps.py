@@ -22,31 +22,6 @@ from .enclosure import Enclosure, exp_enc, sqrt_enc
 from .rational import (ONE, ZERO, RationalLike, as_fraction, ceil_scaled,
                        floor_scaled, format_fraction)
 
-__all__ = [
-    "ConstantTermPresent",
-    "ContributionTable",
-    "ExpPoly",
-    "JumpCertificate",
-    "JumpPolynomial",
-    "JumpSeries",
-    "JumpWitness",
-    "OutOfRange",
-    "RationalEnumeration",
-    "ShiftCombination",
-    "SqrtShift",
-    "VariationBounds",
-    "ZeroPolynomial",
-    "enum_index",
-    "enum_rational",
-    "eval_jump_series",
-    "expand_generator_polynomial",
-    "jump_contribution_table",
-    "jump_enclosure",
-    "jump_search",
-    "one_sided_limits",
-    "variation_bounds",
-]
-
 
 class OutOfRange(ValueError):
     """Point lies outside the open unit interval handled here."""

@@ -27,23 +27,6 @@ from .enclosure import sin_pi  # noqa: F401
 from .rational import (HALF, ONE, ZERO, RationalLike, as_fraction, dyadic_floor,
                        format_fraction)
 
-__all__ = [
-    "Extremum",
-    "HakeEntry",
-    "NonLebesgueWitness",
-    "OscCombination",
-    "Oscillator",
-    "RestrictionWitness",
-    "ZeroCombination",
-    "alexiewicz_norm",
-    "hake_table",
-    "kurzweil_integral",
-    "nonlebesgue_witness",
-    "osc_eval",
-    "restriction_witness",
-    "slope_bound",
-]
-
 
 class ZeroCombination(ValueError):
     """A combination with at least one nonzero coefficient is required."""
@@ -123,21 +106,18 @@ def _unit_branch(t_lo: Fraction, t_hi: Fraction, precision: int,
 
 
 # every support's chart maps its dyadic boxes onto the same unit-chart
-# boxes, so the branch and bound asks for each one many times over; the
-# integer key costs a memo hit no Fraction hash
+# boxes, and alexiewicz_norm folds each onto its mirror in the left half,
+# so the memo is hit often; the integer key costs a hit no Fraction hash
 @lru_cache(maxsize=1 << 11)
-def _unit_measure(n: int, precision: int) -> tuple[int, int, int]:
-    """Unit primitive on node n = 2^d + i of the bisection of [0, 1].
+def _unit_measure(d: int, i: int, precision: int) -> tuple[int, int, int]:
+    """Unit primitive on box i of depth d of the bisection of [0, 1].
 
     Returns (point, box, e), both over 2^e: the certified |value| at the
     box midpoint (2i+1)/2^(d+1), taken at precision + 32, and a sup bound
-    of |value| over the box [i/2^d, (i+1)/2^d].  F(1 - t) = -F(t), so
-    |F| is symmetric about 1/2: node i measures as its mirror
-    2^d - 1 - i, which lies in the left half, and the root [0, 1] as
-    [0, 1/2].
+    of |value| over the box [i/2^d, (i+1)/2^d].  The box lies in the left
+    half, or is the root [0, 1], which measures as [0, 1/2] because
+    F(1 - t) = -F(t).
     """
-    d = n.bit_length() - 1
-    i = min(n - (1 << d), (2 << d) - 1 - n)
     s = Fraction(2 * i + 1, 2 << d)
     point = _primitive_half(s, s, precision + 32).mignitude()
     box = _primitive_half(Fraction(i, 1 << d), min(Fraction(i + 1, 1 << d), HALF),
@@ -534,9 +514,11 @@ def alexiewicz_norm(obj: "OscCombination | Oscillator", tol: RationalLike,
     live: set[tuple[int, int]] = set()
 
     def measure(scale: int, n: int) -> tuple[int, int]:
-        # certified |value| at the box midpoint, and a sup bound over the box
+        # certified |value| at the box midpoint, and a sup bound over the box;
+        # |F(1 - t)| = |F(t)|, so box i at depth d measures as min(i, 2^d - 1 - i)
         nonlocal bits, floor
-        point, box, e = _unit_measure(n, precision)
+        d = n.bit_length() - 1
+        point, box, e = _unit_measure(d, min(n - (1 << d), (2 << d) - 1 - n), precision)
         if e > bits:
             # a finer grid scales every value by one power of two, so both
             # heaps stay in order; the headroom spares the next depths this

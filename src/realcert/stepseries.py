@@ -32,28 +32,6 @@ from .enclosure import Enclosure
 from .rational import (HALF, ONE, ZERO, RationalLike, as_fraction, dyadic_sum,
                        format_fraction)
 
-__all__ = [
-    "BasisComparison",
-    "DivergentTail",
-    "DominanceIndex",
-    "EvalVerdict",
-    "IntervalTooShort",
-    "MonomialCombination",
-    "MonomialRow",
-    "NotDominant",
-    "PowerAlongSubsequence",
-    "StepFunction",
-    "StepSeries",
-    "UnboundedWitness",
-    "basis_inequality_check",
-    "comeager_perturbation",
-    "disjoint_power_family",
-    "dominance_index",
-    "eval_series",
-    "l1_norm",
-    "unbounded_witness",
-]
-
 
 class DivergentTail(ValueError):
     """Tail bound does not converge (tilt >= 2 on the dyadic tower)."""

@@ -64,7 +64,6 @@ def test_arithmetic_contains_endpoint_products(a, b, c, d):
             assert (x + y).contains(px + py)
             assert (x - y).contains(px - py)
             assert (x * y).contains(px * py)
-            assert x.square().contains(px * px)
             assert abs(x).contains(abs(px))
 
 
@@ -265,9 +264,9 @@ def reference_sin_pi_point(c: Fraction, precision: int) -> Enclosure:
 
 
 def reference_sin_pi(c: Enclosure, precision: int) -> Enclosure:
-    if c.is_point:
+    if c.lo == c.hi:
         return reference_sin_pi_point(c.lo, precision)
-    if c.width >= 2:
+    if c.hi - c.lo >= 2:
         return Enclosure(Fraction(-1), Fraction(1))
     has_max = False
     has_min = False

@@ -1,8 +1,16 @@
-"""The package namespace: every exported name exists, and none loads early."""
+"""The package namespace: every exported name exists, and none loads early.
 
+``_EXPORTS`` in ``realcert/__init__.py`` is the package's only export
+list, so no other module may assign ``__all__``, and each class or
+function it lists is defined in the home module it is listed under,
+where the lazy ``__getattr__`` reads it.
+"""
+
+import ast
 import os
 import subprocess
 import sys
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -10,6 +18,22 @@ import pytest
 import realcert
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "realcert"
+
+
+def all_assignments(tree: ast.AST) -> list[int]:
+    """The lines that bind ``__all__``, by plain, annotated or augmented assignment."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            lines.append(node.lineno)
+    return lines
 
 
 def test_all_names_resolve():
@@ -37,3 +61,34 @@ def test_fresh_import_loads_no_submodule():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_only_the_package_declares_exports():
+    modules = sorted(SRC.rglob("*.py"))
+    assert len(modules) >= 10
+    found = {str(path.relative_to(SRC)): lines for path in modules
+             if (lines := all_assignments(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert set(found) == {"__init__.py"}
+
+
+def test_guard_catches_each_way_of_binding_all():
+    code = """
+__all__ = ["a"]
+__all__: list[str] = ["a"]
+__all__ += ["b"]
+x = __all__ = ["c"]
+all_ = ["d"]
+"""
+    assert all_assignments(ast.parse(code)) == [2, 3, 4, 5]
+
+
+def test_each_export_is_defined_in_its_home_module():
+    checked = 0
+    for home, names in realcert._EXPORTS.items():
+        module = import_module(f"realcert.{home}")
+        for name in names:
+            obj = getattr(module, name)
+            if isinstance(obj, type) or callable(obj):
+                assert obj.__module__ == module.__name__, name
+                checked += 1
+    assert checked >= 50
