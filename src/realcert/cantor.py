@@ -24,7 +24,7 @@ from typing import Iterator
 
 from .certificates import InconclusiveAtBudget
 from .enclosure import Enclosure
-from .rational import ONE, ZERO, RationalLike, as_fraction, format_fraction, pow2
+from .rational import ONE, ZERO, RationalLike, SpecValue, as_fraction, format_fraction, pow2
 
 
 # sorted, interior-disjoint closed intervals as (lo, hi) pairs
@@ -267,10 +267,11 @@ class TowerSpec:
         return {"preset": self.preset}
 
     @classmethod
-    def from_json(cls, data: dict) -> "TowerSpec":
-        if "masses" in data:
-            return cls("explicit", tuple(as_fraction(m) for m in data["masses"]))
-        return cls(data.get("preset", "dyadic"))
+    def from_json(cls, data: object, path: str = "body.tower") -> "TowerSpec":
+        node = SpecValue(data, path)
+        if "masses" in node:
+            return cls("explicit", tuple(m.rational() for m in node["masses"].elements()))
+        return cls(node.get("preset", "dyadic").value)
 
 
 def _fill(spec: TowerSpec, generation: int, lo: Fraction, hi: Fraction, depth: int) -> CantorApprox:

@@ -28,7 +28,7 @@ from .certificates import (CERTIFIED, COMPUTED, EXIT_FAILED, Certificate,
                            InconclusiveAtBudget, canonical_dumps, exit_code,
                            jsonable, timed_check)
 from .enclosure import Enclosure
-from .rational import as_fraction, dyadic_floor, format_fraction
+from .rational import SpecError, SpecValue, as_fraction, dyadic_floor, format_fraction
 
 KINDS = ("tower-series", "jump-polynomial", "oscillator-combination")
 
@@ -50,10 +50,6 @@ DEFAULT_BUDGET: dict[str, object] = {key: row[0] for key, row in BUDGETS.items()
 # tower show lists at most LIST_CEILING components
 INDEX_CEILING = 10**5
 LIST_CEILING = 100_000
-
-
-class SpecError(ValueError):
-    """Malformed spec file, bad flag value, or unsupported dispatch."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -100,8 +96,10 @@ class FunctionSpec:
         }
 
 
-def _validate_budget_items(raw: dict, where: str) -> dict:
+def _validate_budget_items(raw: object, where: str) -> dict:
     """Type- and range-check the keys actually present, without filling defaults."""
+    if not isinstance(raw, dict):
+        raise SpecError(f"{where}: budget must be an object")
     out: dict[str, object] = {}
     for key, value in raw.items():
         if key not in BUDGETS:
@@ -136,27 +134,25 @@ def _index_budget(budget: dict) -> int:
     return min(2 ** budget["maxgen"], INDEX_CEILING)
 
 
-def _parse_budget(raw: dict, where: str) -> dict:
-    out = dict(DEFAULT_BUDGET)
-    out.update(_validate_budget_items(raw, where))
-    return out
-
-
 def _reject_float(text: str):
     # json.load hook for floats, NaN and Infinity: none of them is exact
     raise SpecError(f"{text} is a float; write it as a \"p/q\" string")
 
 
-def load_spec(path: str, overrides: dict | None = None) -> FunctionSpec:
+def _load_json(path: str, what: str) -> object:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh, parse_float=_reject_float, parse_constant=_reject_float)
+            return json.load(fh, parse_float=_reject_float, parse_constant=_reject_float)
     except OSError as err:
-        raise SpecError(f"cannot read spec {path}: {err}") from err
+        raise SpecError(f"cannot read {what} {path}: {err}") from err
     except json.JSONDecodeError as err:
-        raise SpecError(f"spec {path} is not valid JSON: {err}") from err
+        raise SpecError(f"{what} {path} is not valid JSON: {err}") from err
     except SpecError as err:
-        raise SpecError(f"spec {path}: {err}") from err
+        raise SpecError(f"{what} {path}: {err}") from err
+
+
+def load_spec(path: str, overrides: dict | None = None) -> FunctionSpec:
+    data = _load_json(path, "spec")
     if not isinstance(data, dict):
         raise SpecError(f"spec {path}: top level must be an object")
     kind = data.get("kind")
@@ -165,10 +161,9 @@ def load_spec(path: str, overrides: dict | None = None) -> FunctionSpec:
     body = data.get("body")
     if not isinstance(body, dict):
         raise SpecError(f"spec {path}: body must be an object")
-    budget = _parse_budget(data.get("budget", {}), f"spec {path}")
-    if overrides:
-        budget.update(overrides)  # validated at flag-parse time
-    return FunctionSpec(kind, body, budget)
+    budget = _validate_budget_items(data.get("budget", {}), f"spec {path}")
+    # overrides were validated at flag-parse time
+    return FunctionSpec(kind, body, {**DEFAULT_BUDGET, **budget, **(overrides or {})})
 
 
 def build_function(spec: FunctionSpec):
@@ -180,27 +175,22 @@ def build_function(spec: FunctionSpec):
     oscillator kind likewise accepts a combination ("alphas") or a single
     host interval ("lo"/"hi"/"kind").
     """
-    try:
-        if spec.kind == "tower-series":
-            from .stepseries import StepSeries
-            return StepSeries.from_json(spec.body)
-        if spec.kind == "jump-polynomial":
-            from .jumps import JumpPolynomial, JumpSeries, ShiftCombination
-            if "G" in spec.body:
-                return JumpPolynomial.from_json(spec.body)
-            if "terms" in spec.body:
-                return ShiftCombination.from_json(spec.body)
-            return JumpSeries.from_json(spec.body)
-        from .oscillator import OscCombination, Oscillator
-        if "alphas" in spec.body:
-            return OscCombination.from_json(spec.body)
-        return Oscillator(Fraction(spec.body.get("lo", 0)),
-                          Fraction(spec.body.get("hi", 1)),
-                          str(spec.body.get("kind", "derivative")))
-    except SpecError:
-        raise
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
-        raise SpecError(f"bad {spec.kind} body: {err}") from err
+    if spec.kind == "tower-series":
+        from .stepseries import StepSeries
+        return StepSeries.from_json(spec.body)
+    if spec.kind == "jump-polynomial":
+        from .jumps import JumpPolynomial, JumpSeries, ShiftCombination
+        if "G" in spec.body:
+            return JumpPolynomial.from_json(spec.body)
+        if "terms" in spec.body:
+            return ShiftCombination.from_json(spec.body)
+        return JumpSeries.from_json(spec.body)
+    from .oscillator import OscCombination, Oscillator
+    if "alphas" in spec.body:
+        return OscCombination.from_json(spec.body)
+    body = SpecValue(spec.body)
+    return Oscillator(body.get("lo", 0).rational(), body.get("hi", 1).rational(),
+                      body.get("kind", "derivative").value)
 
 
 def _single_spec(args, *kinds: str) -> tuple[FunctionSpec, object]:
@@ -488,16 +478,12 @@ def _cmd_certify_basis(args):
 
 def _cmd_certify_perturbation(args):
     from .stepseries import StepFunction, comeager_perturbation
-    pieces: tuple = ()
-    if args.pieces:
-        try:
-            with open(args.pieces, encoding="utf-8") as fh:
-                raw = json.load(fh, parse_float=_reject_float,
-                                parse_constant=_reject_float)
-            pieces = tuple((Fraction(a), Fraction(b), Fraction(v)) for a, b, v in raw)
-        except (OSError, ValueError, TypeError, json.JSONDecodeError) as err:
-            raise SpecError(f"bad pieces file {args.pieces}: {err}") from err
-    f = StepFunction(pieces)
+    rows = (SpecValue(_load_json(args.pieces, "pieces file"), "pieces").elements()
+            if args.pieces else [])
+    for row in rows:
+        if len(row.elements()) != 3:
+            raise SpecError(f"{row.path}: a piece is [lo, hi, value]")
+    f = StepFunction(tuple(tuple(x.rational() for x in row.elements()) for row in rows))
     lo, hi = args.interval
     result = comeager_perturbation(f, args.bound, (lo, hi), args.radius)
     return replace(result.certificate(), claim="perturbation"), None

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .certificates import CERTIFIED, Certificate, InconclusiveAtBudget
 from .enclosure import Enclosure, exp_enc, sqrt_enc
-from .rational import (ONE, ZERO, RationalLike, as_fraction, ceil_scaled,
+from .rational import (ONE, ZERO, RationalLike, SpecValue, as_fraction, ceil_scaled,
                        floor_scaled, format_fraction)
 
 
@@ -171,11 +171,11 @@ class JumpSeries:
         return {"shift": None if self.shift is None else self.shift.as_json()}
 
     @staticmethod
-    def from_json(data: Mapping[str, object]) -> "JumpSeries":
-        raw = data.get("shift")
-        if raw is None:
+    def from_json(data: object, path: str = "body") -> "JumpSeries":
+        shift = SpecValue(data, path).get("shift")
+        if shift.value is None:
             return JumpSeries()
-        return JumpSeries(SqrtShift(int(raw["sqrt2_multiple"])))  # type: ignore[index]
+        return JumpSeries(SqrtShift(shift["sqrt2_multiple"].integer()))
 
 
 def _staircase_partial(xlo: Fraction, xhi: Fraction, terms: int) -> Enclosure:
@@ -272,10 +272,10 @@ class ShiftCombination:
                           for b, s in self.terms]}
 
     @staticmethod
-    def from_json(data: Mapping[str, object]) -> "ShiftCombination":
+    def from_json(data: object, path: str = "body") -> "ShiftCombination":
         return ShiftCombination(tuple(
-            (Fraction(t["beta"]), SqrtShift(int(t["shift"])))  # type: ignore[index]
-            for t in data["terms"]))  # type: ignore[union-attr]
+            (t["beta"].rational(), SqrtShift(t["shift"].integer()))
+            for t in SpecValue(data, path)["terms"].elements()))
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +380,9 @@ class ExpPoly:
                           for c, v in self.terms]}
 
     @staticmethod
-    def from_json(data: Mapping[str, object], basis: Sequence[int]) -> "ExpPoly":
-        terms = tuple((Fraction(t["c"]), tuple(t["exp"]))  # type: ignore[index]
-                      for t in data["terms"])  # type: ignore[index]
+    def from_json(data: object, basis: Sequence[int], path: str = "body") -> "ExpPoly":
+        terms = tuple((t["c"].rational(), t["exp"].integers())
+                      for t in SpecValue(data, path)["terms"].elements())
         return ExpPoly(tuple(basis), terms)
 
 
@@ -464,11 +464,12 @@ class JumpPolynomial:
         return data
 
     @staticmethod
-    def from_json(data: Mapping[str, object]) -> "JumpPolynomial":
-        basis = tuple(data["basis"])  # type: ignore[arg-type]
-        coeffs = tuple(ExpPoly.from_json(g, basis) for g in data["G"])  # type: ignore[union-attr]
-        cont = data.get("continuous")
-        extra = None if cont is None else ExpPoly.from_json(cont, basis)  # type: ignore[arg-type]
+    def from_json(data: object, path: str = "body") -> "JumpPolynomial":
+        node = SpecValue(data, path)
+        basis = node["basis"].integers()
+        coeffs = tuple(ExpPoly.from_json(g.value, basis, g.path) for g in node["G"].elements())
+        cont = node.get("continuous")
+        extra = None if cont.value is None else ExpPoly.from_json(cont.value, basis, cont.path)
         return JumpPolynomial(coeffs, extra)
 
 

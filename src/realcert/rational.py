@@ -1,4 +1,4 @@
-"""Exact rational plumbing: parsing, canonical formatting, dyadic rounding.
+"""Exact rational plumbing: strict spec reading, canonical formatting, dyadic rounding.
 
 Every quantity the library certifies is carried as a `fractions.Fraction`
 (always in lowest terms, denominator positive).  The wire format for a
@@ -8,6 +8,7 @@ that parsing needs no special cases.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -33,6 +34,67 @@ def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+class SpecError(ValueError):
+    """Malformed spec file, bad flag value, or unsupported dispatch."""
+
+
+@dataclass(frozen=True)
+class SpecValue:
+    """A value of a decoded spec file and its JSON path, e.g. "body.G[0].c".
+
+    Each reader checks the JSON type it needs and raises SpecError naming
+    the path; a missing required key raises where it is read.
+    """
+
+    value: object
+    path: str = "body"
+
+    def _of_type(self, kind: type, name: str):
+        if isinstance(self.value, bool) or not isinstance(self.value, kind):
+            found = "null" if self.value is None else type(self.value).__name__
+            raise SpecError(f"{self.path}: {found} is not {name}")
+        return self.value
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._of_type(dict, "an object")
+
+    def __getitem__(self, key: str) -> SpecValue:
+        """The value of a required key."""
+        if key not in self:
+            raise SpecError(f"{self.path}.{key}: required key is missing")
+        return self.get(key)
+
+    def get(self, key: str, default: object = None) -> SpecValue:
+        return SpecValue(self.value[key] if key in self else default, f"{self.path}.{key}")
+
+    def elements(self) -> list[SpecValue]:
+        return [SpecValue(v, f"{self.path}[{i}]")
+                for i, v in enumerate(self._of_type(list, "an array"))]
+
+    def by_index(self) -> dict[int, SpecValue]:
+        """An object keyed by positive integers, written "1", "2", ..."""
+        for key in self._of_type(dict, "an object"):
+            if not (key.isascii() and key.isdigit() and key[0] != "0"):
+                raise SpecError(f"{self.path}: key {key!r} is not a positive integer")
+        return {int(key): self.get(key) for key in self.value}
+
+    def integer(self) -> int:
+        """A JSON integer: bool, float and str are refused."""
+        return self._of_type(int, "an integer")
+
+    def integers(self) -> tuple[int, ...]:
+        return tuple(n.integer() for n in self.elements())
+
+    def rational(self) -> Fraction:
+        """An integer or a "p/q" string, under as_fraction's rule."""
+        try:
+            return as_fraction(self.value)  # refuses every other type
+        except ZeroDivisionError:
+            raise SpecError(f"{self.path}: {self.value!r} has a zero denominator") from None
+        except (TypeError, ValueError) as err:
+            raise SpecError(f"{self.path}: {err}") from None
 
 
 def format_fraction(q: Fraction) -> str:

@@ -29,8 +29,8 @@ from .cantor import (
 )
 from .certificates import Certificate, CERTIFIED, InconclusiveAtBudget
 from .enclosure import Enclosure
-from .rational import (HALF, ONE, ZERO, RationalLike, as_fraction, dyadic_sum,
-                       format_fraction)
+from .rational import (HALF, ONE, ZERO, RationalLike, SpecValue, as_fraction,
+                       dyadic_sum, format_fraction)
 
 
 class DivergentTail(ValueError):
@@ -182,17 +182,18 @@ class StepSeries:
         return {"tower": self.tower.as_json(), "rule": self.rule.as_json()}
 
     @classmethod
-    def from_json(cls, data: dict) -> "StepSeries":
-        tower = TowerSpec.from_json(data["tower"])
-        rule = data["rule"]
+    def from_json(cls, data: object, path: str = "body") -> "StepSeries":
+        node = SpecValue(data, path)
+        tower = TowerSpec.from_json(node["tower"].value, f"{path}.tower")
+        rule = node["rule"]
         if "power" in rule:
             sub = rule["power"]["subseq"]
-            if isinstance(sub, list):
-                sub = tuple(sub)
-            return cls(tower, PowerAlongSubsequence(as_fraction(rule["power"]["theta"]), sub))
+            subseq = sub.value if isinstance(sub.value, str) else sub.integers()
+            return cls(tower, PowerAlongSubsequence(rule["power"]["theta"].rational(), subseq))
         m = rule["monomial"]
-        rows = tuple(MonomialRow(as_fraction(r["beta"]), tuple(r["k"])) for r in m["rows"])
-        return cls(tower, MonomialCombination(tuple(m["thetas"]), rows))
+        rows = tuple(MonomialRow(r["beta"].rational(), r["k"].integers())
+                     for r in m["rows"].elements())
+        return cls(tower, MonomialCombination(m["thetas"].integers(), rows))
 
 
 # ---------------------------------------------------------------------------

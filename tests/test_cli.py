@@ -477,6 +477,68 @@ def test_inexact_spec_values_are_rejected(capsys, tmp_path, spec, argv, message)
     assert message in json.loads(captured.out)["error"]
 
 
+def _tower_rule(power: dict) -> dict:
+    return dict(TOWER, body={"tower": {"preset": "dyadic"}, "rule": {"power": power}})
+
+
+def _jump_term(c: object = "1", exp: object = (1,), basis: object = (1,)) -> dict:
+    return dict(JUMP, body={"basis": basis, "G": [{"terms": [{"c": c, "exp": exp}]}]})
+
+
+PIECES = ("certify", "perturbation", "--bound", "1", "--radius", "1/2",
+          "--interval", "0", "1", "--pieces")
+
+
+@pytest.mark.parametrize("spec,argv,message", [
+    (dict(OSC, body={"alphas": {"1": True}}), ("fn", "eval", "--at", "3/10"),
+     "body.alphas.1: bool is not a rational"),
+    (dict(OSC, body={"lo": False, "hi": True}), ("fn", "eval", "--at", "3/10"),
+     "body.lo: bool is not a rational"),
+    (_tower_rule({"theta": "3/2", "subseq": [True, 2]}), ("norm", "l1"),
+     "body.rule.power.subseq[0]: bool is not an integer"),
+    (_jump_term(exp="1"), ("norm", "bv"), "body.G[0].terms[0].exp: str is not an array"),
+    (_jump_term(exp=[True]), ("norm", "bv"),
+     "body.G[0].terms[0].exp[0]: bool is not an integer"),
+    (_jump_term(basis=[True]), ("norm", "bv"), "body.basis[0]: bool is not an integer"),
+    (_jump_term(c=True), ("norm", "bv"), "body.G[0].terms[0].c: bool is not a rational"),
+    (_jump_term(c="1/0"), ("norm", "bv"),
+     "body.G[0].terms[0].c: '1/0' has a zero denominator"),
+    (dict(JUMP, body={"terms": [{"beta": "1", "shift": True}]}), ("norm", "bv"),
+     "body.terms[0].shift: bool is not an integer"),
+    (dict(JUMP, body={"shift": {"sqrt2_multiple": True}}), ("norm", "bv"),
+     "body.shift.sqrt2_multiple: bool is not an integer"),
+    (dict(JUMP, body={"basis": [1], "G": [{"terms": [{"c": "1"}]}]}), ("norm", "bv"),
+     "body.G[0].terms[0].exp: required key is missing"),
+    (dict(OSC, body={"alphas": []}), ("norm", "alexiewicz"),
+     "body.alphas: list is not an object"),
+    (dict(OSC, body={"alphas": "1"}), ("norm", "alexiewicz"),
+     "body.alphas: str is not an object"),
+    (dict(OSC, body={"alphas": {"01": "1"}}), ("norm", "alexiewicz"),
+     "body.alphas: key '01' is not a positive integer"),
+    (dict(TOWER, body={"tower": [], "rule": {}}), ("norm", "l1"),
+     "body.tower: list is not an object"),
+    (dict(TOWER, body={"tower": {"preset": "dyadic"}, "rule": {}}), ("norm", "l1"),
+     "body.rule.monomial: required key is missing"),
+    (dict(TOWER, budget=[]), ("norm", "l1"), "budget must be an object"),
+    ([[0, 1, True]], PIECES, "pieces[0][2]: bool is not a rational"),
+    ({"lo": 0, "hi": 1, "value": 1}, PIECES, "pieces: dict is not an array"),
+    ([[0, 1]], PIECES, "pieces[0]: a piece is [lo, hi, value]"),
+], ids=["alphas-bool", "host-bool", "subseq-bool", "exp-str", "exp-bool", "basis-bool",
+        "c-bool", "c-zero-denominator", "shift-bool", "sqrt2-bool", "exp-missing",
+        "alphas-list", "alphas-str", "alphas-key", "tower-list", "rule-empty",
+        "budget-list", "pieces-bool", "pieces-object", "pieces-short"])
+def test_malformed_spec_values_name_their_json_path(capsys, tmp_path, spec, argv, message):
+    # each of these exited 0 with a result, or escaped main as a traceback
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(spec))
+    where = (str(path),) if argv[-1] == "--pieces" else ("--spec", str(path))
+    code = main([*argv, *where])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    error = json.loads(captured.out)["error"]  # one JSON document, nothing else
+    assert error == message or error.endswith(f": {message}")
+
+
 def test_report_tolerance_below_range_is_rejected(specs, capsys):
     code, out = run(capsys, "report", specs["osc"], "--tolerance", "1/10000000")
     assert code == 1 and "budget tolerance" in out["error"]

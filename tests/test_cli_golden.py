@@ -14,6 +14,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from realcert.certificates import INCONCLUSIVE, exit_code
 from realcert.cli import main
@@ -305,3 +306,58 @@ def test_every_outcome_has_one_shape(argv, capsys, spec_dir):
         assert _is_inconclusive(out)
     else:
         assert INCONCLUSIVE not in _verdicts(out)
+
+
+# -- malformed values anywhere in a spec -------------------------------------
+
+
+def _node_paths(data, path=()):
+    """The key path of every value in a JSON document, the root included."""
+    yield path
+    if isinstance(data, (dict, list)):
+        for key, child in (data.items() if isinstance(data, dict) else enumerate(data)):
+            yield from _node_paths(child, (*path, key))
+
+
+def _replaced(data, path, value):
+    if not path:
+        return value
+    copy = dict(data) if isinstance(data, dict) else list(data)
+    copy[path[0]] = _replaced(data[path[0]], path[1:], value)
+    return copy
+
+
+FUZZ_DOCUMENTS = {name: json.loads((SPECS / name).read_text()) for name in (T, J, O)}
+FUZZ_DOCUMENTS.update(SHAPES)
+FUZZ_DOCUMENTS["pieces"] = [["0", "1/2", "1/2"], ["1/2", "1", "-1"]]
+FUZZ_SITES = [(name, path) for name, data in FUZZ_DOCUMENTS.items()
+              for path in _node_paths(data)]
+# integers stay small: nothing bounds a spec integer's size, and a large
+# exponent or basis surd runs for minutes rather than failing
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 70)
+    | st.sampled_from(["", "0", "1/2", "-3/2", "1/0", "x", "all", "arith:1:2", "dyadic",
+                       "derivative"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["0", "1", "2", "x", "c", "exp", "terms", "shift"]),
+                      inner, max_size=3),
+    max_leaves=6)
+
+
+@given(site=st.sampled_from(FUZZ_SITES), value=JSON_VALUES)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_value_anywhere_exits_with_one_json_document(site, value, capsys, tmp_path):
+    """A random JSON value in place of any part of a spec ends in 0, 1 or 2, never a raise."""
+    name, path = site
+    doc = tmp_path / "fuzz.json"
+    doc.write_text(json.dumps(_replaced(FUZZ_DOCUMENTS[name], path, value)))
+    if name == "pieces":
+        argv = ["certify", "perturbation", "--bound", "1", "--radius", "1/2",
+                "--interval", "0", "1", "--pieces", str(doc)]
+    else:
+        argv = ["fn", "eval", "--spec", str(doc), "--at", "3/8"]
+    code = main(argv)
+    printed = json.loads(capsys.readouterr().out)  # one document, nothing after it
+    assert code in (0, 1, 2)
+    assert code == 1 if "error" in printed else code == exit_code(printed)
