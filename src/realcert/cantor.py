@@ -267,8 +267,8 @@ class TowerSpec:
         return {"preset": self.preset}
 
     @classmethod
-    def from_json(cls, data: object, path: str = "body.tower") -> "TowerSpec":
-        node = SpecValue(data, path)
+    def from_json(cls, data: object) -> "TowerSpec":
+        node = SpecValue(data, "body.tower")
         if "masses" in node:
             return cls("explicit", tuple(m.rational() for m in node["masses"].elements()))
         return cls(node.get("preset", "dyadic").value)

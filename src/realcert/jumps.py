@@ -171,8 +171,8 @@ class JumpSeries:
         return {"shift": None if self.shift is None else self.shift.as_json()}
 
     @staticmethod
-    def from_json(data: object, path: str = "body") -> "JumpSeries":
-        shift = SpecValue(data, path).get("shift")
+    def from_json(data: object) -> "JumpSeries":
+        shift = SpecValue(data).get("shift")
         if shift.value is None:
             return JumpSeries()
         return JumpSeries(SqrtShift(shift["sqrt2_multiple"].integer()))
@@ -272,10 +272,10 @@ class ShiftCombination:
                           for b, s in self.terms]}
 
     @staticmethod
-    def from_json(data: object, path: str = "body") -> "ShiftCombination":
+    def from_json(data: object) -> "ShiftCombination":
         return ShiftCombination(tuple(
             (t["beta"].rational(), SqrtShift(t["shift"].integer()))
-            for t in SpecValue(data, path)["terms"].elements()))
+            for t in SpecValue(data)["terms"].elements()))
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +464,8 @@ class JumpPolynomial:
         return data
 
     @staticmethod
-    def from_json(data: object, path: str = "body") -> "JumpPolynomial":
-        node = SpecValue(data, path)
+    def from_json(data: object) -> "JumpPolynomial":
+        node = SpecValue(data)
         basis = node["basis"].integers()
         coeffs = tuple(ExpPoly.from_json(g.value, basis, g.path) for g in node["G"].elements())
         cont = node.get("continuous")

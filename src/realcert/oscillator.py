@@ -24,8 +24,8 @@ from .certificates import CERTIFIED, Certificate, InconclusiveAtBudget
 from .enclosure import Enclosure, _sin_pi_range, pi_const, sqrt_enc
 # bound for bench/test_bench.py::Tracing::test_wrappers_count_and_are_removed
 from .enclosure import sin_pi  # noqa: F401
-from .rational import (HALF, ONE, ZERO, RationalLike, SpecValue, as_fraction,
-                       dyadic_floor, format_fraction)
+from .rational import (HALF, ONE, ZERO, RationalLike, SpecError, SpecValue,
+                       as_fraction, dyadic_floor, format_fraction)
 
 
 class ZeroCombination(ValueError):
@@ -286,9 +286,13 @@ class OscCombination:
         return {"alphas": {str(k): format_fraction(a) for k, a in self.alphas}}
 
     @staticmethod
-    def from_json(data: object, path: str = "body") -> "OscCombination":
-        alphas = SpecValue(data, path)["alphas"].by_index()
-        return OscCombination.of({k: alpha.rational() for k, alpha in alphas.items()})
+    def from_json(data: object) -> "OscCombination":
+        alphas = SpecValue(data)["alphas"]
+        for key, _ in alphas.items():  # "1", "2", ... as JSON writes them, or ints
+            if not (isinstance(key, int) or isinstance(key, str) and key.isascii()
+                    and key.isdigit() and key[0] != "0"):
+                raise SpecError(f"{alphas.path}: key {key!r} is not a positive integer")
+        return OscCombination.of({int(k): alpha.rational() for k, alpha in alphas.items()})
 
 
 # ---------------------------------------------------------------------------

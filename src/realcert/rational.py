@@ -73,12 +73,8 @@ class SpecValue:
         return [SpecValue(v, f"{self.path}[{i}]")
                 for i, v in enumerate(self._of_type(list, "an array"))]
 
-    def by_index(self) -> dict[int, SpecValue]:
-        """An object keyed by positive integers, written "1", "2", ..."""
-        for key in self._of_type(dict, "an object"):
-            if not (key.isascii() and key.isdigit() and key[0] != "0"):
-                raise SpecError(f"{self.path}: key {key!r} is not a positive integer")
-        return {int(key): self.get(key) for key in self.value}
+    def items(self) -> list[tuple[object, SpecValue]]:
+        return [(key, self.get(key)) for key in self._of_type(dict, "an object")]
 
     def integer(self) -> int:
         """A JSON integer: bool, float and str are refused."""

@@ -182,9 +182,9 @@ class StepSeries:
         return {"tower": self.tower.as_json(), "rule": self.rule.as_json()}
 
     @classmethod
-    def from_json(cls, data: object, path: str = "body") -> "StepSeries":
-        node = SpecValue(data, path)
-        tower = TowerSpec.from_json(node["tower"].value, f"{path}.tower")
+    def from_json(cls, data: object) -> "StepSeries":
+        node = SpecValue(data)
+        tower = TowerSpec.from_json(node["tower"].value)
         rule = node["rule"]
         if "power" in rule:
             sub = rule["power"]["subseq"]

@@ -523,10 +523,12 @@ PIECES = ("certify", "perturbation", "--bound", "1", "--radius", "1/2",
     ([[0, 1, True]], PIECES, "pieces[0][2]: bool is not a rational"),
     ({"lo": 0, "hi": 1, "value": 1}, PIECES, "pieces: dict is not an array"),
     ([[0, 1]], PIECES, "pieces[0]: a piece is [lo, hi, value]"),
+    # a value of the right type that a constructor refuses gives its message
+    (_jump_term(basis=[4]), ("norm", "bv"), "surd 4 is not a squarefree positive integer"),
 ], ids=["alphas-bool", "host-bool", "subseq-bool", "exp-str", "exp-bool", "basis-bool",
         "c-bool", "c-zero-denominator", "shift-bool", "sqrt2-bool", "exp-missing",
         "alphas-list", "alphas-str", "alphas-key", "tower-list", "rule-empty",
-        "budget-list", "pieces-bool", "pieces-object", "pieces-short"])
+        "budget-list", "pieces-bool", "pieces-object", "pieces-short", "basis-value"])
 def test_malformed_spec_values_name_their_json_path(capsys, tmp_path, spec, argv, message):
     # each of these exited 0 with a result, or escaped main as a traceback
     path = tmp_path / "malformed.json"

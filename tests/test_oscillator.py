@@ -37,6 +37,7 @@ from realcert.oscillator import (
     restriction_witness,
     slope_bound,
 )
+from realcert.rational import SpecError
 from test_enclosure import PRECISIONS, reference_cos_pi, reference_sin_pi
 
 mp.prec = 200
@@ -368,6 +369,11 @@ def test_combination_sum_matches_full_sum(coeffs, centre, left, right, precision
 def test_combination_json_round_trip():
     c = OscCombination.of({1: Fraction(1, 2), 4: -3})
     assert OscCombination.from_json(c.as_json()) == c
+    # a library caller may key alphas by int, as OscCombination.of does
+    assert OscCombination.from_json({"alphas": {1: "1/2", 4: -3}}) == c
+    for key in ("0", "01", "-1", "x", "", "\u0661", None):
+        with pytest.raises(SpecError, match="is not a positive integer"):
+            OscCombination.from_json({"alphas": {key: 1}})
 
 
 # -- Alexiewicz norm --------------------------------------------------------

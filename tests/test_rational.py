@@ -65,12 +65,9 @@ def test_readers_name_the_json_path():
         assert str(err.value) == message
 
 
-def test_optional_keys_and_index_keys():
+def test_optional_keys_and_items():
     body = SpecValue({"alphas": {"2": "1/3", "1": 5}, "shift": None})
     assert body.get("lo", 0).rational() == 0 and body.get("lo", 0).path == "body.lo"
     assert body.get("shift").value is None
-    assert {k: v.rational() for k, v in body["alphas"].by_index().items()} == {
-        2: Fraction(1, 3), 1: Fraction(5)}
-    for key in ("0", "01", "-1", "x", "", "\u0661"):
-        with pytest.raises(SpecError, match="is not a positive integer"):
-            SpecValue({key: 1}, "body.alphas").by_index()
+    assert [(k, v.path, v.rational()) for k, v in body["alphas"].items()] == [
+        ("2", "body.alphas.2", Fraction(1, 3)), ("1", "body.alphas.1", Fraction(5))]

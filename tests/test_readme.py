@@ -41,10 +41,3 @@ def test_budget_table_matches_budgets():
 
 def test_index_ceiling_is_quoted():
     assert f"`INDEX_CEILING` = {INDEX_CEILING}" in README.read_text(encoding="utf-8")
-
-
-def test_rows_render_as_written():
-    assert rendered_rows()[::4] == [
-        "| `maxgen` | 20 | 1..64 | `tower build` 24, `report: measure` 6",
-        "| `tolerance` | 1/1000000 | 1/1000000..1 | none",
-    ]
