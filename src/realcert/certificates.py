@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable
 
-from .enclosure import Enclosure
 from .rational import format_fraction
 
 
@@ -63,8 +62,6 @@ def jsonable(x: Any) -> Any:
         return format_fraction(x)
     if isinstance(x, bool) or isinstance(x, int) or isinstance(x, str) or x is None:
         return x
-    if isinstance(x, Enclosure):
-        return x.as_json()
     if isinstance(x, dict):
         return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):

@@ -595,12 +595,6 @@ def _cmd_report(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: _Parser) -> None:
-    p.add_argument("--spec", action="append", metavar="PATH",
-                   help="function spec JSON file")
-    _add_budget_flags(p)
-
-
 def _add_budget_flags(p: _Parser) -> None:
     p.add_argument("--budget", default="", metavar="K=V,...",
                    help="override budget keys: maxgen, depth, terms, "
@@ -635,81 +629,69 @@ def build_parser() -> _Parser:
                         version=f"realcert {__version__}")
     top = parser.add_subparsers(dest="command", required=True)
 
-    tower = top.add_parser("tower", help="fat Cantor towers").add_subparsers(
-        dest="sub", required=True)
-    p = tower.add_parser("build", help="measure enclosures per generation")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_tower_build)
-    p = tower.add_parser("show", help="component spans of one generation")
-    _add_common(p)
+    def group(name: str, help: str):
+        return top.add_parser(name, help=help).add_subparsers(dest="sub", required=True)
+
+    def command(within, name: str, help: str, handler: Callable, spec: bool = True) -> _Parser:
+        p = within.add_parser(name, help=help)
+        if spec:
+            p.add_argument("--spec", action="append", metavar="PATH",
+                           help="function spec JSON file")
+        _add_budget_flags(p)
+        p.set_defaults(handler=handler)
+        return p
+
+    def interval(p: _Parser) -> None:
+        p.add_argument("--interval", nargs=2, type=_fraction_flag, required=True,
+                       metavar=("LO", "HI"))
+
+    tower = group("tower", "fat Cantor towers")
+    command(tower, "build", "measure enclosures per generation", _cmd_tower_build)
+    p = command(tower, "show", "component spans of one generation", _cmd_tower_show)
     p.add_argument("--generation", type=_ranged_int(*BUDGETS["maxgen"][1:3]),
                    required=True)
-    p.set_defaults(handler=_cmd_tower_show)
 
-    fn = top.add_parser("fn", help="pointwise and integral values").add_subparsers(
-        dest="sub", required=True)
-    p = fn.add_parser("eval", help="enclose or decide the value at a point")
-    _add_common(p)
+    fn = group("fn", "pointwise and integral values")
+    p = command(fn, "eval", "enclose or decide the value at a point", _cmd_fn_eval)
     p.add_argument("--at", type=_fraction_flag, required=True, metavar="P/Q")
     p.add_argument("--grid", type=_ranged_int(0, LIST_CEILING), default=0, metavar="N",
                    help="with --csv: sample k/N for k = 0..N (0: off)")
-    p.set_defaults(handler=_cmd_fn_eval)
-    p = fn.add_parser("integrate", help="gauge integral by primitive difference")
-    _add_common(p)
+    p = command(fn, "integrate", "gauge integral by primitive difference",
+                _cmd_fn_integrate)
     p.add_argument("--from", dest="lo", type=_fraction_flag, required=True,
                    metavar="P/Q")
     p.add_argument("--to", dest="hi", type=_fraction_flag, required=True,
                    metavar="P/Q")
-    p.set_defaults(handler=_cmd_fn_integrate)
 
-    norm = top.add_parser("norm", help="certified norm enclosures").add_subparsers(
-        dest="sub", required=True)
-    p = norm.add_parser("l1", help="integral of the absolute step series")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_norm_l1)
-    p = norm.add_parser("bv", help="total variation bounds")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_norm_bv)
-    p = norm.add_parser("alexiewicz", help="sup of the primitive, to tolerance")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_norm_alexiewicz)
+    norm = group("norm", "certified norm enclosures")
+    command(norm, "l1", "integral of the absolute step series", _cmd_norm_l1)
+    command(norm, "bv", "total variation bounds", _cmd_norm_bv)
+    command(norm, "alexiewicz", "sup of the primitive, to tolerance", _cmd_norm_alexiewicz)
 
-    certify = top.add_parser("certify", help="claim certificates").add_subparsers(
-        dest="sub", required=True)
-    p = certify.add_parser("unbounded", help="component pushing past a bound")
-    _add_common(p)
-    p.add_argument("--interval", nargs=2, type=_fraction_flag, required=True,
-                   metavar=("LO", "HI"))
+    certify = group("certify", "claim certificates")
+    p = command(certify, "unbounded", "component pushing past a bound",
+                _cmd_certify_unbounded)
+    interval(p)
     p.add_argument("--bound", type=_fraction_flag, required=True, metavar="M")
-    p.set_defaults(handler=_cmd_certify_unbounded)
-    p = certify.add_parser("jump-dense", help="certified jump inside a window")
-    _add_common(p)
-    p.add_argument("--interval", nargs=2, type=_fraction_flag, required=True,
-                   metavar=("LO", "HI"))
+    p = command(certify, "jump-dense", "certified jump inside a window",
+                _cmd_certify_jump_dense)
+    interval(p)
     p.add_argument("--eps", type=_fraction_flag, default=Fraction(1, 1000),
                    metavar="P/Q", help="jump size to aim for (default 1/1000)")
-    p.set_defaults(handler=_cmd_certify_jump_dense)
-    p = certify.add_parser("non-lebesgue",
-                           help="absolute integral exceeds any bar")
-    _add_common(p)
+    p = command(certify, "non-lebesgue", "absolute integral exceeds any bar",
+                _cmd_certify_non_lebesgue)
     p.add_argument("--bound", type=_fraction_flag, required=True, metavar="M")
-    p.set_defaults(handler=_cmd_certify_non_lebesgue)
-    p = certify.add_parser("basis", help="nested-sum norm inequality")
-    _add_common(p)
+    p = command(certify, "basis", "nested-sum norm inequality", _cmd_certify_basis)
     p.add_argument("--coeffs", required=True, metavar="C1,C2,...")
     p.add_argument("--m1", type=int, default=1)
     p.add_argument("--m2", type=int, default=0, help="defaults to len(coeffs)")
-    p.set_defaults(handler=_cmd_certify_basis)
-    p = certify.add_parser("perturbation",
-                           help="ball around a step function meets the target set")
-    _add_budget_flags(p)
+    p = command(certify, "perturbation", "ball around a step function meets the target set",
+                _cmd_certify_perturbation, spec=False)
     p.add_argument("--bound", type=_fraction_flag, required=True, metavar="N")
     p.add_argument("--radius", type=_fraction_flag, required=True, metavar="R")
-    p.add_argument("--interval", nargs=2, type=_fraction_flag, required=True,
-                   metavar=("LO", "HI"))
+    interval(p)
     p.add_argument("--pieces", metavar="PATH",
                    help="JSON [[lo,hi,value],...]; default: the zero function")
-    p.set_defaults(handler=_cmd_certify_perturbation)
 
     p = top.add_parser("report", help="aggregate certificates for spec sets")
     p.add_argument("specs", nargs="*", metavar="SPEC",

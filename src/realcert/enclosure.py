@@ -137,9 +137,6 @@ class Enclosure:
     def __sub__(self, other: "Enclosure | RationalLike") -> "Enclosure":
         return self + (-_coerce(other))
 
-    def __rsub__(self, other: "Enclosure | RationalLike") -> "Enclosure":
-        return _coerce(other) + (-self)
-
     def __mul__(self, other: "Enclosure | RationalLike") -> "Enclosure":
         o = _coerce(other)
         if o.lo == o.hi:
@@ -275,40 +272,30 @@ def _fxi_mul(alo: int, ahi: int, blo: int, bhi: int, w: int) -> tuple[int, int]:
     return (lo >> w, -((-hi) >> w))
 
 
-def _fxi_sq(lo: int, hi: int, w: int) -> tuple[int, int]:
-    if lo >= 0:
-        return ((lo * lo) >> w, -((-(hi * hi)) >> w))
-    if hi <= 0:
-        return ((hi * hi) >> w, -((-(lo * lo)) >> w))
-    m = max(-lo, hi)
-    return (0, -((-(m * m)) >> w))
-
-
 def _fxi_divint(lo: int, hi: int, n: int) -> tuple[int, int]:
     """Divide by a positive integer, outward."""
     return (lo // n, -((-hi) // n))
 
 
 def _taylor_sin_fx(rlo: int, rhi: int, w: int, bits: int) -> tuple[int, int]:
-    """sin on |r| <= 1.7 (fixed point); |remainder| <= B**N / N!."""
-    b_abs = max(-rlo, rhi, 0)
+    """sin on a bracket in [0, 1.7] (fixed point); |remainder| <= B**N / N!."""
     cutoff = 1 << (w - bits - 4) if w > bits + 4 else 1
-    sq = _fxi_sq(rlo, rhi, w)
+    sq_lo, sq_hi = (rlo * rlo) >> w, -((-rhi * rhi) >> w)
     s_lo, s_hi = rlo, rhi
     p_lo, p_hi = rlo, rhi  # running term r**n / n!
-    bound = b_abs
+    bound = rhi
     n = 1
     sign = 1
     one_fx = 1 << w
     while True:
-        bound = -((-bound * b_abs) >> w)
-        bound = -((-bound * b_abs) >> w)
+        bound = -((-bound * rhi) >> w)
+        bound = -((-bound * rhi) >> w)
         bound = -((-bound) // ((n + 1) * (n + 2)))
         n += 2
         if bound <= cutoff:
             break
         sign = -sign
-        p_lo, p_hi = _fxi_mul(p_lo, p_hi, sq[0], sq[1], w)
+        p_lo, p_hi = (p_lo * sq_lo) >> w, -((-p_hi * sq_hi) >> w)
         p_lo, p_hi = _fxi_divint(p_lo, p_hi, (n - 1) * n)
         if sign < 0:
             s_lo -= p_hi

@@ -221,7 +221,7 @@ def eval_jump_series(s: JumpSeries, x: "Enclosure | RationalLike",
             extra += 128
             v = s.shift.enclosure(extra)
 
-    pieces: list[Enclosure] = []
+    pieces: list[Enclosure] = []  # one or two, never none
     if xlo < v.hi:  # branch before the wrap: argument x - v + 1
         top = min(xhi, v.hi)
         ylo = max(ZERO, xlo - v.hi + 1)
@@ -232,10 +232,7 @@ def eval_jump_series(s: JumpSeries, x: "Enclosure | RationalLike",
         ylo = max(ZERO, bot - v.hi)
         yhi = min(ONE, xhi - v.lo)
         pieces.append(_staircase_partial(ylo, yhi, terms))
-    out = pieces[0]
-    for piece in pieces[1:]:
-        out = out.hull(piece)
-    return out
+    return pieces[0].hull(pieces[-1])
 
 
 @dataclass(frozen=True)
@@ -443,11 +440,15 @@ class JumpPolynomial:
     def value_at(self, x: "Enclosure | RationalLike", terms: int = 64,
                  precision: int = 96) -> Enclosure:
         base = eval_jump_series(JumpSeries(), x, terms, precision)
-        base = base.intersect(Enclosure(ZERO, ONE))
-        total = self.coeffs[0].evaluate(x, precision) * base
-        power = base
-        for g in self.coeffs[1:]:
-            power = power * base
+        return self._at_staircase(x, base.intersect(Enclosure(ZERO, ONE)), precision)
+
+    def _at_staircase(self, x: "Enclosure | RationalLike", s: Enclosure,
+                     precision: int = 96) -> Enclosure:
+        """Sum of G_j(x) * s^j plus the continuous part at x, for a staircase value s."""
+        total = Enclosure.point(0)
+        power = Enclosure.point(1)
+        for g in self.coeffs:
+            power = power * s
             total = total + g.evaluate(x, precision) * power
         if self.continuous is not None:
             total = total + self.continuous.evaluate(x, precision)
@@ -532,25 +533,9 @@ def one_sided_limits(g: JumpPolynomial, q: RationalLike, terms: int = 64,
     the right limit shifts that value up by the 2^-index jump first.
     """
     q = as_fraction(q)
-    i = enum_index(q)
-    gap = Fraction(1, 1 << i)
+    gap = Fraction(1, 1 << enum_index(q))
     value = _clamped_value(q, gap, terms)
-    bumped = value + gap
-    left = Enclosure.point(0)
-    right = Enclosure.point(0)
-    lpow = Enclosure.point(1)
-    rpow = Enclosure.point(1)
-    for poly in g.coeffs:
-        lpow = lpow * value
-        rpow = rpow * bumped
-        c = poly.evaluate(q, precision)
-        left = left + c * lpow
-        right = right + c * rpow
-    if g.continuous is not None:
-        smooth = g.continuous.evaluate(q, precision)
-        left = left + smooth
-        right = right + smooth
-    return left, right
+    return g._at_staircase(q, value, precision), g._at_staircase(q, value + gap, precision)
 
 
 def jump_enclosure(g: JumpPolynomial, q: RationalLike, terms: int = 64,
@@ -706,11 +691,12 @@ def variation_bounds(h: "JumpSeries | ShiftCombination | JumpPolynomial",
     if isinstance(h, JumpPolynomial):
         lower = ZERO
         detail_list: list[dict[str, object]] = []
-        for q in map(enum_rational, range(1, terms + 1)):
-            cert = jump_enclosure(h, q, terms, precision)
-            mig = cert.value.mignitude()
+        nums, dens = CALKIN_WILF.pairs(terms)
+        for i, n, d in zip(range(1, terms + 1), nums, dens):
+            q = Fraction(n, d)
+            mig = _jump_parts(h, q, i, terms, precision)[1].mignitude()
             lower += mig
-            detail_list.append({"kind": "rational-probe", "index": cert.index,
+            detail_list.append({"kind": "rational-probe", "index": i,
                                 "point": q, "jump_at_least": mig})
         return VariationBounds(lower, None, tuple(detail_list))
 

@@ -511,11 +511,12 @@ def alexiewicz_norm(obj: "OscCombination | Oscillator", tol: RationalLike,
     bits = 0
     floor = 0
     # boxes (rank, n) widest first, and the same live boxes by bound,
-    # largest first; a box popped from heap leaves live, and its by_bound
-    # entry goes stale and drops off the top when it surfaces
+    # largest first.  heap pops keys in increasing order, as a child always
+    # ranks above its parent, so a by_bound entry is stale exactly when its
+    # key is at or below the last popped one; it drops off when it surfaces
     heap: list[tuple[int, int, int, int]] = []
     by_bound: list[tuple[int, int, int]] = []
-    live: set[tuple[int, int]] = set()
+    last = (-1, 0)
 
     def measure(scale: int, n: int) -> tuple[int, int]:
         # certified |value| at the box midpoint, and a sup bound over the box;
@@ -536,21 +537,20 @@ def alexiewicz_norm(obj: "OscCombination | Oscillator", tol: RationalLike,
     def push(rank: int, n: int, scale: int, bound: int) -> None:
         heapq.heappush(heap, (rank, n, scale, bound))
         heapq.heappush(by_bound, (-bound, rank, n))
-        live.add((rank, n))
 
     for rank, scale in spans:
         point, bound = measure(scale, 1)
         floor = max(floor, point)
         push(rank, 1, scale, bound)
     while heap:
-        while by_bound[0][1:] not in live:
+        while by_bound[0][1:] <= last:
             heapq.heappop(by_bound)
         # floor may have risen past a stale box bound since its push
         ceiling = max(-by_bound[0][0], floor)
         if (ceiling - floor) * tol.denominator <= tol.numerator * (den << bits):
             return Enclosure(Fraction(floor, den << bits), Fraction(ceiling, den << bits))
         rank, n, scale, bound = heapq.heappop(heap)
-        live.discard((rank, n))
+        last = (rank, n)
         if bound <= floor:
             continue
         for child in (2 * n, 2 * n + 1):
