@@ -291,6 +291,8 @@ def _cmd_fn_eval(args):
     if spec.kind == "tower-series":
         if args.grid:
             raise SpecError("--grid needs enclosure-valued kinds, not tower-series")
+        if args.csv:
+            raise SpecError("--csv needs enclosure-valued kinds, not tower-series")
         from .stepseries import eval_series
         got = eval_series(obj, at, budget["maxgen"], budget["depth"])
         if isinstance(got, InconclusiveAtBudget):
@@ -306,7 +308,7 @@ def _cmd_fn_eval(args):
 
     enc = value(at)
     rows = [(at, enc.lo, enc.hi)]
-    if args.grid:
+    if args.grid and args.csv:  # the grid is only ever written out
         rows = []
         for k in range(args.grid + 1):
             x = Fraction(k, args.grid)
@@ -632,13 +634,15 @@ def build_parser() -> _Parser:
     def group(name: str, help: str):
         return top.add_parser(name, help=help).add_subparsers(dest="sub", required=True)
 
-    def command(within, name: str, help: str, handler: Callable, spec: bool = True) -> _Parser:
+    def command(within, name: str, help: str, handler: Callable, spec: bool = True,
+                rows: bool = False) -> _Parser:
+        # rows marks the commands that write --csv rows; main refuses the rest
         p = within.add_parser(name, help=help)
         if spec:
             p.add_argument("--spec", action="append", metavar="PATH",
                            help="function spec JSON file")
         _add_budget_flags(p)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, rows=rows)
         return p
 
     def interval(p: _Parser) -> None:
@@ -646,13 +650,16 @@ def build_parser() -> _Parser:
                        metavar=("LO", "HI"))
 
     tower = group("tower", "fat Cantor towers")
-    command(tower, "build", "measure enclosures per generation", _cmd_tower_build)
-    p = command(tower, "show", "component spans of one generation", _cmd_tower_show)
+    command(tower, "build", "measure enclosures per generation", _cmd_tower_build,
+            rows=True)
+    p = command(tower, "show", "component spans of one generation", _cmd_tower_show,
+                rows=True)
     p.add_argument("--generation", type=_ranged_int(*BUDGETS["maxgen"][1:3]),
                    required=True)
 
     fn = group("fn", "pointwise and integral values")
-    p = command(fn, "eval", "enclose or decide the value at a point", _cmd_fn_eval)
+    p = command(fn, "eval", "enclose or decide the value at a point", _cmd_fn_eval,
+                rows=True)
     p.add_argument("--at", type=_fraction_flag, required=True, metavar="P/Q")
     p.add_argument("--grid", type=_ranged_int(0, LIST_CEILING), default=0, metavar="N",
                    help="with --csv: sample k/N for k = 0..N (0: off)")
@@ -679,7 +686,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=_fraction_flag, default=Fraction(1, 1000),
                    metavar="P/Q", help="jump size to aim for (default 1/1000)")
     p = command(certify, "non-lebesgue", "absolute integral exceeds any bar",
-                _cmd_certify_non_lebesgue)
+                _cmd_certify_non_lebesgue, rows=True)
     p.add_argument("--bound", type=_fraction_flag, required=True, metavar="M")
     p = command(certify, "basis", "nested-sum norm inequality", _cmd_certify_basis)
     p.add_argument("--coeffs", required=True, metavar="C1,C2,...")
@@ -699,7 +706,7 @@ def build_parser() -> _Parser:
     p.add_argument("--bundled", action="store_true",
                    help="also run the built-in claim checklist")
     _add_budget_flags(p)
-    p.set_defaults(handler=_cmd_report)
+    p.set_defaults(handler=_cmd_report, rows=False)
     return parser
 
 
@@ -712,10 +719,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         args.budget_overrides = _budget_overrides(args)
+        if args.csv and not args.rows:
+            raise SpecError("this command does not emit CSV")
         outcome, csv_text = args.handler(args)
-        if args.csv:
-            if csv_text is None:
-                raise SpecError("this command does not emit CSV")
+        # an inconclusive outcome has no rows to write
+        if args.csv and csv_text is not None:
             with open(args.csv, "w", encoding="utf-8") as fh:
                 fh.write(csv_text)
     except (ValueError, OSError) as err:  # SpecError is a ValueError

@@ -5,13 +5,15 @@ capsys and no subprocesses are spawned.  Exit code 2 marks inconclusive
 at budget; 1 is reserved for malformed requests.
 """
 
+import argparse
+import hashlib
 import json
 import time
 from fractions import Fraction
 
 import pytest
 
-from realcert.cli import main
+from realcert.cli import build_parser, main
 
 TOWER = {
     "kind": "tower-series",
@@ -562,6 +564,82 @@ def test_csv_flag_without_csv_output(specs, capsys):
     assert code == 1 and "CSV" in out["error"]
 
 
+# every command but the four that write rows; each names an input that does
+# not exist, so only a refusal made before the command runs reads "CSV"
+@pytest.mark.parametrize("argv", [
+    ("fn", "integrate", "--spec", "{missing}", "--from", "0", "--to", "1"),
+    ("norm", "l1", "--spec", "{missing}"),
+    ("norm", "bv", "--spec", "{missing}"),
+    ("norm", "alexiewicz", "--spec", "{missing}"),
+    ("certify", "unbounded", "--spec", "{missing}", "--interval", "0", "1",
+     "--bound", "2"),
+    ("certify", "jump-dense", "--spec", "{missing}", "--interval", "0", "1"),
+    ("certify", "basis", "--spec", "{missing}", "--coeffs", "1"),
+    ("certify", "perturbation", "--pieces", "{missing}", "--bound", "1",
+     "--radius", "1", "--interval", "0", "1"),
+    ("report", "{missing}"),
+], ids=["fn integrate", "norm l1", "norm bv", "norm alexiewicz", "certify unbounded",
+        "certify jump-dense", "certify basis", "certify perturbation", "report"])
+def test_csv_is_refused_before_a_rowless_command_runs(capsys, tmp_path, argv):
+    csv_path = tmp_path / "rows.csv"
+    argv = [a.format(missing=tmp_path / "missing.json") for a in argv]
+    code, out = run(capsys, *argv, "--csv", str(csv_path))
+    assert code == 1 and out["error"] == "this command does not emit CSV"
+    assert not csv_path.exists()
+
+
+def test_csv_on_a_tower_series_eval_is_refused_before_evaluating(specs, capsys,
+                                                                  tmp_path, monkeypatch):
+    from realcert import stepseries
+    monkeypatch.setattr(stepseries, "eval_series", lambda *a: pytest.fail("evaluated"))
+    csv_path = tmp_path / "rows.csv"
+    code, out = run(capsys, "fn", "eval", "--spec", specs["tower"], "--at", "3/8",
+                    "--csv", str(csv_path))
+    assert code == 1 and "--csv" in out["error"]
+    assert not csv_path.exists()
+
+
+def test_inconclusive_row_command_keeps_exit_2_and_writes_no_csv(specs, capsys, tmp_path):
+    csv_path = tmp_path / "peaks.csv"
+    argv = ("certify", "non-lebesgue", "--spec", specs["osc"], "--bound", "40",
+            "--budget", "maxgen=1")
+    code, bare = run(capsys, *argv)
+    assert code == 2 and bare["verdict"] == "inconclusive-at-budget"
+    code, out = run(capsys, *argv, "--csv", str(csv_path))
+    assert code == 2 and out == bare
+    assert not csv_path.exists()
+
+
+def test_grid_is_evaluated_only_for_csv_rows(specs, capsys, tmp_path, monkeypatch):
+    from realcert.jumps import JumpPolynomial
+    calls = []
+    real = JumpPolynomial.value_at
+    monkeypatch.setattr(JumpPolynomial, "value_at",
+                        lambda self, *a: calls.append(a[0]) or real(self, *a))
+    argv = ("fn", "eval", "--spec", specs["jump"], "--at", "1/3", "--grid", "50")
+    code, _ = run(capsys, *argv)
+    assert code == 0 and calls == [Fraction(1, 3)]
+    calls.clear()
+    code, _ = run(capsys, *argv, "--csv", str(tmp_path / "rows.csv"))
+    assert code == 0 and len(calls) == 52  # --at, then k/50 for k = 0..50
+
+
+@pytest.mark.parametrize("kind", ["jump", "osc"])
+def test_grid_rows_are_the_point_values(specs, capsys, tmp_path, kind):
+    csv_path = tmp_path / "rows.csv"
+    code, _ = run(capsys, "fn", "eval", "--spec", specs[kind], "--at", "1/3",
+                  "--grid", "4", "--csv", str(csv_path))
+    assert code == 0
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "x,lo,hi" and len(lines) == 4 + 2
+    for k, line in enumerate(lines[1:]):
+        code, out = run(capsys, "fn", "eval", "--spec", specs[kind], "--at", f"{k}/4")
+        assert code == 0
+        x, lo, hi = line.split(",")
+        assert Fraction(x) == Fraction(k, 4)
+        assert (lo, hi) == (out["value"]["lo"], out["value"]["hi"])
+
+
 def test_spec_budget_survives_empty_overrides(specs, capsys):
     # the osc spec pins tolerance 1/1000; bare flags must not reset it
     code, out = run(capsys, "norm", "alexiewicz", "--spec", specs["osc"])
@@ -589,3 +667,30 @@ def test_report_deterministic_modulo_wall_clock(specs, capsys):
         return data
 
     assert normalized() == normalized()
+
+
+# -- flag set ---------------------------------------------------------------
+
+
+def flag_record(parser: argparse.ArgumentParser, path: str = "") -> dict:
+    """Each action's declaration, per command path, read off the parser."""
+    record: dict = {path: []}
+    for action in parser._actions:
+        record[path].append({
+            "option_strings": action.option_strings, "dest": action.dest,
+            "required": action.required, "nargs": action.nargs,
+            "default": repr(action.default), "metavar": action.metavar,
+            "type": getattr(action.type, "__name__", None), "help": action.help})
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                record.update(flag_record(sub, f"{path} {name}".strip()))
+    return record
+
+
+def test_flag_set_is_pinned():
+    # the top level, 4 groups and 13 commands; a flag added, dropped or
+    # redeclared changes the digest, whatever the help formatter prints
+    record = flag_record(build_parser())
+    assert len(record) == 18
+    digest = hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest()
+    assert digest == "ab3673017c96cd56ff5958a0413659431f2ea826a62e6067aea7017ba8c9727d"

@@ -6,6 +6,7 @@ q -> 1/(2*floor(q) + 1 - q) pushed through q -> q/(1+q), so the first few
 thousand entries are recomputed that way and compared.
 """
 
+import json
 import math
 import os
 import subprocess
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from realcert.certificates import CERTIFIED, InconclusiveAtBudget
+from realcert.certificates import CERTIFIED, InconclusiveAtBudget, canonical_dumps
 from realcert.enclosure import Enclosure
 from realcert.jumps import (
     ConstantTermPresent,
@@ -187,6 +188,37 @@ def test_shifted_series_stays_in_range(x, k):
     assert Fraction(0) <= enc.lo <= enc.hi <= Fraction(1)
 
 
+def test_shifted_series_refines_the_shift_to_place_a_point_near_the_wrap():
+    # both points lie inside the 96-bit enclosure of the wrap point
+    # sqrt(2) - 1, within 2^-199 of it, one on either side
+    s = JumpSeries(SqrtShift(1))
+    coarse, fine = SqrtShift(1).enclosure(96), SqrtShift(1).enclosure(400)
+    before, after = fine.lo - Fraction(1, 2**200), fine.hi + Fraction(1, 2**200)
+    assert coarse.lo < before < after < coarse.hi
+    high = Enclosure(1 - Fraction(1, 2**32), Fraction(1))
+    assert eval_jump_series(s, before, terms=32) == high
+    assert eval_jump_series(s, after, terms=32) == Enclosure(Fraction(0), Fraction(1, 2**32))
+
+
+def test_shifted_series_hulls_both_branches_across_the_wrap():
+    s = JumpSeries(SqrtShift(1))
+    box = Enclosure(Fraction(2, 5), Fraction(3, 7))  # around sqrt(2) - 1
+    enc = eval_jump_series(s, box, terms=32)
+    # the branch before the wrap climbs to 1; the one past it starts at 0
+    assert enc == Enclosure(Fraction(0), Fraction(1))
+    assert eval_jump_series(s, box.lo, terms=32).lo > Fraction(9, 10)
+    assert eval_jump_series(s, box.hi, terms=32).hi < Fraction(1, 10)
+
+
+@pytest.mark.parametrize("obj", [
+    JumpSeries(),
+    JumpSeries(SqrtShift(3)),
+    ShiftCombination(((Fraction(2), SqrtShift(1)), (Fraction(-1, 3), SqrtShift(2)))),
+], ids=["plain", "wrapped", "combination"])
+def test_staircase_shapes_json_round_trip(obj):
+    assert type(obj).from_json(json.loads(canonical_dumps(obj))) == obj
+
+
 def test_shift_enclosure_is_fractional_part():
     for k in (1, 2, 3, 10):
         v = SqrtShift(k).enclosure(96)
@@ -334,6 +366,56 @@ def test_value_at_matches_plain_series_for_unit_polynomial():
         got = g.value_at(x, terms=32)
         base = eval_jump_series(JumpSeries(), x, terms=32)
         assert got.lo == base.lo and got.hi == base.hi
+
+
+def cubic_with_continuous_part() -> JumpPolynomial:
+    basis = (1, 2)
+    return JumpPolynomial(
+        (ExpPoly(basis, ((Fraction(1), (1, 0)),)),
+         ExpPoly(basis, ((Fraction(-2, 3), (0, 1)), (Fraction(1, 5), (0, 0)))),
+         ExpPoly(basis, ((Fraction(3), (1, 1)),))),
+        continuous=ExpPoly(basis, ((Fraction(-1, 2), (2, 0)), (Fraction(1), (0, 0)))),
+    )
+
+
+def loop_value_at(g: JumpPolynomial, x, terms: int, precision: int) -> Enclosure:
+    """value_at as it summed the staircase powers before sharing one helper."""
+    base = eval_jump_series(JumpSeries(), x, terms, precision)
+    base = base.intersect(Enclosure(Fraction(0), Fraction(1)))
+    total = g.coeffs[0].evaluate(x, precision) * base
+    power = base
+    for coeff in g.coeffs[1:]:
+        power = power * base
+        total = total + coeff.evaluate(x, precision) * power
+    if g.continuous is not None:
+        total = total + g.continuous.evaluate(x, precision)
+    return total
+
+
+def mp_exp_poly(p: ExpPoly, x: mpf) -> mpf:
+    return sum(as_mp(c) * mp.exp(sum(n * mp.sqrt(d) for n, d in zip(vec, p.basis)) * x)
+               for c, vec in p.terms)
+
+
+@pytest.mark.parametrize("x", [Fraction(1, 7), Fraction(2, 5), Fraction(9, 10)])
+def test_value_at_degree_three_with_continuous_part(x):
+    g = cubic_with_continuous_part()
+    got = g.value_at(x, terms=200, precision=128)
+    s = eval_jump_series(JumpSeries(), x, terms=200)
+    xm, sm = as_mp(x), as_mp((s.lo + s.hi) / 2)
+    ref = (sum(mp_exp_poly(c, xm) * sm**j for j, c in enumerate(g.coeffs, 1))
+           + mp_exp_poly(g.continuous, xm))
+    slack = mpf(2) ** -150
+    assert as_mp(got.lo) - slack <= ref <= as_mp(got.hi) + slack
+    assert got.hi - got.lo < Fraction(1, 2**100)
+
+
+@pytest.mark.parametrize("x", [Fraction(0), Fraction(1, 3), Fraction(9, 10),
+                               Enclosure(Fraction(1, 4), Fraction(3, 5))])
+@pytest.mark.parametrize("g", [cubic_with_continuous_part(), exp_times_staircase()],
+                         ids=["cubic", "linear"])
+def test_value_at_equals_the_power_loop(g, x):
+    assert g.value_at(x, 48, 96) == loop_value_at(g, x, 48, 96)
 
 
 def test_jump_polynomial_json_round_trip():

@@ -213,6 +213,39 @@ def test_l1_norm_factorial_tower_handles_large_tilt():
     assert enc.hi - enc.lo < Fraction(1, 100)
 
 
+@pytest.mark.parametrize("theta, last", [(3, 2), (10, 2), (10, 12), (50, 1)])
+def test_factorial_power_tail_sums_terms_before_its_geometric_bound(theta, last):
+    # theta / (last + 2) > 1/2: terms are summed one by one until the ratio
+    # of successive terms falls to 1/2, then twice the next term bounds the rest
+    from mpmath import mp
+
+    tail = stepseries._power_tail(TowerSpec("factorial"), Fraction(theta), last)
+    with mp.workprec(200):
+        exact = (mp.exp(theta) - sum(mp.mpf(theta)**m / mp.factorial(m)
+                                     for m in range(last + 1))) / 2
+        bound = mp.mpf(tail.numerator) / tail.denominator
+        assert exact < bound <= 2 * exact
+    s = StepSeries(TowerSpec("factorial"), PowerAlongSubsequence(Fraction(theta), "all"))
+    enc = l1_norm(s, terms=last, depth=20)
+    with mp.workprec(200):
+        ref = (mp.exp(theta) - 1) / 2
+        assert mp.mpf(enc.lo.numerator) / enc.lo.denominator < ref
+        assert ref < mp.mpf(enc.hi.numerator) / enc.hi.denominator
+
+
+def test_l1_norm_monomial_rule_on_an_explicit_tower_adds_the_exact_rest():
+    # value 2^j on generation j, whose mass is 2^-(j+1): each adds 1/2
+    rule = MonomialCombination((2,), (MonomialRow(Fraction(1), (1,)),))
+    s = StepSeries(_FOUR_GENERATIONS, rule)
+    exact = sum(rule.value_at(j) * _FOUR_GENERATIONS.mass(j) for j in range(1, 5))
+    assert exact == 2
+    assert stepseries._power_tail(_FOUR_GENERATIONS, Fraction(2), 1) == Fraction(3, 2)
+    for terms in (1, 2, 3):
+        enc = l1_norm(s, terms=terms)
+        assert enc.contains(exact)
+        assert enc.hi - exact < Fraction(1, 10**6)
+
+
 @given(st.integers(min_value=2, max_value=24), st.integers(min_value=8, max_value=20))
 @settings(max_examples=30, deadline=None)
 def test_l1_norm_budgets_nest(terms, depth):
