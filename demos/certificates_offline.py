@@ -9,12 +9,12 @@ re-established from the serialized payload alone.
 import json
 from fractions import Fraction
 
-from realcert.certificates import canonical_dumps, jsonable
+from realcert.certificates import canonical_dumps
 from realcert.rational import ONE, ZERO
 from realcert.stepseries import StepFunction, comeager_perturbation
 
 result = comeager_perturbation(StepFunction(), 1, (ZERO, ONE), Fraction(3, 5))
-text = canonical_dumps(jsonable(result.certificate().as_json()), indent=2)
+text = canonical_dumps(result.certificate(), indent=2)
 print("certificate as canonical JSON:")
 print(text)
 
@@ -42,5 +42,5 @@ print(f"  violation threshold clears the 1/7 mark: {threshold} > {seventh}"
 
 # determinism: the same request serializes byte-identically
 again = comeager_perturbation(StepFunction(), 1, (ZERO, ONE), Fraction(3, 5))
-same = canonical_dumps(jsonable(again.certificate().as_json()), indent=2)
+same = canonical_dumps(again.certificate(), indent=2)
 print(f"byte-identical on a second run: {same == text}")

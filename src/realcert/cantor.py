@@ -24,7 +24,7 @@ from typing import Iterator
 
 from .certificates import InconclusiveAtBudget
 from .enclosure import Enclosure
-from .rational import ONE, ZERO, RationalLike, SpecValue, as_fraction, format_fraction, pow2
+from .rational import ONE, ZERO, RationalLike, SpecValue, as_fraction, pow2
 
 
 # sorted, interior-disjoint closed intervals as (lo, hi) pairs
@@ -81,10 +81,7 @@ class CantorSpec:
         return self.mass + self.removed * pow2(-depth)
 
     def as_json(self) -> dict:
-        return {
-            "span": [format_fraction(self.a), format_fraction(self.b)],
-            "mass": format_fraction(self.mass),
-        }
+        return {"span": [self.a, self.b], "mass": self.mass}
 
 
 @dataclass(frozen=True)
@@ -173,10 +170,8 @@ class CantorApprox:
         return PointWalk("kept", self.depth, p, p + self.spec.kept_len(self.depth))
 
     def as_json(self) -> dict:
-        out = self.spec.as_json()
-        out["depth"] = self.depth
-        out["measure_enclosure"] = self.measure_enclosure.as_json()
-        return out
+        return {**self.spec.as_json(), "depth": self.depth,
+                "measure_enclosure": self.measure_enclosure}
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +258,7 @@ class TowerSpec:
 
     def as_json(self) -> dict:
         if self.preset == "explicit":
-            return {"masses": [format_fraction(m) for m in self.masses]}
+            return {"masses": list(self.masses)}
         return {"preset": self.preset}
 
     @classmethod

@@ -53,11 +53,14 @@ class InconclusiveAtBudget:
     budget: dict = field(default_factory=dict)
 
     def as_json(self) -> dict:
-        return {"verdict": INCONCLUSIVE, "reason": self.reason, "budget": jsonable(self.budget)}
+        return {"verdict": INCONCLUSIVE, "reason": self.reason, "budget": self.budget}
 
 
 def jsonable(x: Any) -> Any:
-    """Exact JSON form: Fractions as "p/q", enclosures as {"lo","hi"}."""
+    """Exact JSON form: Fractions as "p/q", enclosures as {"lo","hi"}.
+
+    The only writer of that form; an as_json method returns exact values.
+    """
     if isinstance(x, Fraction):
         return format_fraction(x)
     if isinstance(x, bool) or isinstance(x, int) or isinstance(x, str) or x is None:
@@ -68,7 +71,7 @@ def jsonable(x: Any) -> Any:
         return [jsonable(v) for v in x]
     as_json = getattr(x, "as_json", None)
     if as_json is not None:
-        return as_json()
+        return jsonable(as_json())
     if isinstance(x, float):
         raise TypeError(f"refusing to serialize float {x!r}; use Fraction")
     raise TypeError(f"not serializable: {type(x).__name__}")
@@ -91,8 +94,8 @@ class Certificate:
         return {
             "claim": self.claim,
             "verdict": self.verdict,
-            "payload": jsonable(self.payload),
-            "budget": jsonable(self.budget),
+            "payload": self.payload,
+            "budget": self.budget,
         }
 
 

@@ -113,7 +113,7 @@ def _check_dominance() -> dict:
              and got.fails_before[0] >= got.fails_before[1]
              for got, (_, _, want) in zip(cases, _DOMINANCE_CASES))
     return {"verdict": CERTIFIED if ok else FAILED,
-            "cases": [case.as_json() for case in cases]}
+            "cases": cases}
 
 
 def _check_perturbation() -> Certificate:
@@ -343,7 +343,7 @@ def _check_basis_inequality(trials: Sequence[tuple[Sequence[Fraction], int, int]
     for trial, (coeffs, m1, m2) in enumerate(trials):
         result = basis_inequality_check(coeffs, m1, m2, family)
         if result.margin_lower < 0:
-            return {"verdict": FAILED, "trial": trial, "comparison": result.as_json()}
+            return {"verdict": FAILED, "trial": trial, "comparison": result}
     return {"verdict": CERTIFIED, "trials": len(trials), "family_size": 6}
 
 

@@ -28,7 +28,7 @@ from .certificates import (CERTIFIED, COMPUTED, EXIT_FAILED, Certificate,
                            InconclusiveAtBudget, canonical_dumps, exit_code,
                            jsonable, timed_check)
 from .enclosure import Enclosure
-from .rational import SpecError, SpecValue, as_fraction, dyadic_floor, format_fraction
+from .rational import SpecError, SpecValue, as_fraction, dyadic_floor
 
 KINDS = ("tower-series", "jump-polynomial", "oscillator-combination")
 
@@ -215,11 +215,7 @@ def _with_provenance(cert: Certificate, spec: FunctionSpec) -> dict:
 
 
 def _csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    def cell(x: object) -> str:
-        return format_fraction(x) if isinstance(x, Fraction) else str(x)
-    lines = [",".join(header)]
-    lines.extend(",".join(cell(c) for c in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return "".join(",".join(map(str, row)) + "\n" for row in jsonable([header, *rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +432,7 @@ def _cmd_certify_non_lebesgue(args):
 
 
 def _cmd_certify_basis(args):
-    from .stepseries import basis_inequality_check, disjoint_power_family
+    from .stepseries import BasisComparison, basis_inequality_check, disjoint_power_family
     paths = args.spec or []
     if not paths:
         raise SpecError("at least one --spec is required")
@@ -465,12 +461,8 @@ def _cmd_certify_basis(args):
     result = basis_inequality_check(coeffs, m1, m2, family,
                                     budget["terms"], budget["depth"])
     # exact norms can run to thousands of digits; emit on a dyadic grid
-    comparison = {
-        "verdict": "holds",
-        "left_norm": result.left.outward(96),
-        "right_norm": result.right.outward(96),
-        "margin_lower": dyadic_floor(result.margin_lower, 96),
-    }
+    comparison = BasisComparison(result.left.outward(96), result.right.outward(96),
+                                 dyadic_floor(result.margin_lower, 96))
     cert = Certificate("basis-inequality", CERTIFIED,
                        {"coefficients": coeffs, "m1": m1, "m2": m2,
                         "comparison": comparison,

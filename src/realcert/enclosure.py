@@ -65,7 +65,6 @@ from .rational import (
     dyadic_ceil,
     dyadic_floor,
     floor_scaled,
-    format_fraction,
     pow2,
 )
 
@@ -174,8 +173,8 @@ class Enclosure:
 
     # -- serialization ------------------------------------------------
 
-    def as_json(self) -> dict[str, str]:
-        return {"lo": format_fraction(self.lo), "hi": format_fraction(self.hi)}
+    def as_json(self) -> dict[str, Fraction]:
+        return {"lo": self.lo, "hi": self.hi}
 
     def __str__(self) -> str:
         return f"[{self.lo}, {self.hi}]"

@@ -19,8 +19,7 @@ from typing import Mapping, Sequence
 
 from .certificates import CERTIFIED, Certificate, InconclusiveAtBudget
 from .enclosure import Enclosure, exp_enc, sqrt_enc
-from .rational import (ONE, ZERO, RationalLike, SpecValue, as_fraction, ceil_scaled,
-                       floor_scaled, format_fraction)
+from .rational import ONE, ZERO, RationalLike, SpecValue, as_fraction, ceil_scaled, floor_scaled
 
 
 class OutOfRange(ValueError):
@@ -265,8 +264,7 @@ class ShiftCombination:
         return total
 
     def as_json(self) -> dict[str, object]:
-        return {"terms": [{"beta": format_fraction(b), "shift": s.k}
-                          for b, s in self.terms]}
+        return {"terms": [{"beta": b, "shift": s.k} for b, s in self.terms]}
 
     @staticmethod
     def from_json(data: object) -> "ShiftCombination":
@@ -373,8 +371,7 @@ class ExpPoly:
         return bound
 
     def as_json(self) -> dict[str, object]:
-        return {"terms": [{"c": format_fraction(c), "exp": list(v)}
-                          for c, v in self.terms]}
+        return {"terms": [{"c": c, "exp": list(v)} for c, v in self.terms]}
 
     @staticmethod
     def from_json(data: object, basis: Sequence[int], path: str = "body") -> "ExpPoly":

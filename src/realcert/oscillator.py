@@ -207,9 +207,8 @@ class Oscillator:
             return self.primitive_at(x, precision)
         return self.derivative_at(x, precision)
 
-    def as_json(self) -> dict[str, str]:
-        return {"lo": format_fraction(self.lo), "hi": format_fraction(self.hi),
-                "kind": self.kind}
+    def as_json(self) -> dict[str, object]:
+        return {"lo": self.lo, "hi": self.hi, "kind": self.kind}
 
 
 def osc_eval(o: Oscillator, x: "Enclosure | RationalLike", precision: int = 96) -> Enclosure:
@@ -283,7 +282,7 @@ class OscCombination:
         return self._sum(x, precision, primitive=True)
 
     def as_json(self) -> dict[str, object]:
-        return {"alphas": {str(k): format_fraction(a) for k, a in self.alphas}}
+        return {"alphas": dict(self.alphas)}
 
     @staticmethod
     def from_json(data: object) -> "OscCombination":
@@ -380,7 +379,7 @@ class NonLebesgueWitness:
             claim="non-lebesgue",
             verdict=CERTIFIED,
             payload={
-                "host": self.host.as_json(),
+                "host": self.host,
                 "bar": self.bar,
                 "peaks_used": self.K,
                 "partial_sum": self.partial_sum,

@@ -29,8 +29,7 @@ from .cantor import (
 )
 from .certificates import Certificate, CERTIFIED, InconclusiveAtBudget
 from .enclosure import Enclosure
-from .rational import (HALF, ONE, ZERO, RationalLike, SpecValue, as_fraction,
-                       dyadic_sum, format_fraction)
+from .rational import HALF, ONE, ZERO, RationalLike, SpecValue, as_fraction, dyadic_sum
 
 
 class DivergentTail(ValueError):
@@ -115,7 +114,7 @@ class PowerAlongSubsequence:
 
     def as_json(self) -> dict:
         s = self.subseq if isinstance(self.subseq, str) else list(self.subseq)
-        return {"power": {"theta": format_fraction(self.theta), "subseq": s}}
+        return {"power": {"theta": self.theta, "subseq": s}}
 
 
 @dataclass(frozen=True)
@@ -159,9 +158,7 @@ class MonomialCombination:
         return {
             "monomial": {
                 "thetas": list(self.thetas),
-                "rows": [
-                    {"beta": format_fraction(r.beta), "k": list(r.exponents)} for r in self.rows
-                ],
+                "rows": [{"beta": r.beta, "k": list(r.exponents)} for r in self.rows],
             }
         }
 
@@ -214,7 +211,7 @@ class EvalVerdict:
     detail: str
 
     def as_json(self) -> dict:
-        return {"verdict": "zero", "detail": self.detail, "value": format_fraction(ZERO),
+        return {"verdict": "zero", "detail": self.detail, "value": ZERO,
                 "generation": self.generation}
 
 
@@ -357,8 +354,8 @@ class UnboundedWitness:
     def as_json(self) -> dict:
         return {
             "generation": self.generation,
-            "value": format_fraction(self.value),
-            "component": self.component.as_json(),
+            "value": self.value,
+            "component": self.component,
         }
 
 
@@ -414,11 +411,11 @@ class DominanceIndex:
     def as_json(self) -> dict:
         out = {
             "j0": self.j0,
-            "tail_at_j0": format_fraction(self.tail_at_j0),
-            "half_lead_at_j0": format_fraction(self.half_lead_at_j0),
+            "tail_at_j0": self.tail_at_j0,
+            "half_lead_at_j0": self.half_lead_at_j0,
         }
         if self.fails_before is not None:
-            out["fails_before"] = [format_fraction(v) for v in self.fails_before]
+            out["fails_before"] = self.fails_before
         return out
 
 
@@ -482,9 +479,9 @@ class BasisComparison:
     def as_json(self) -> dict:
         return {
             "verdict": "holds",
-            "left_norm": self.left.as_json(),
-            "right_norm": self.right.as_json(),
-            "margin_lower": format_fraction(self.margin_lower),
+            "left_norm": self.left,
+            "right_norm": self.right,
+            "margin_lower": self.margin_lower,
         }
 
 
@@ -598,12 +595,6 @@ class StepFunction:
             if b > hi:
                 out.append((hi, b, v))
         return StepFunction(tuple(out))
-
-    def as_json(self) -> list:
-        return [
-            [format_fraction(a), format_fraction(b), format_fraction(v)]
-            for a, b, v in self.pieces
-        ]
 
 
 @dataclass(frozen=True)

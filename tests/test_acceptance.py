@@ -15,7 +15,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 from realcert import checklist
-from realcert.certificates import FAILED, InconclusiveAtBudget, exit_code, jsonable
+from realcert.certificates import FAILED, INCONCLUSIVE, InconclusiveAtBudget, exit_code, jsonable
 from realcert.checklist import (
     _check_alexiewicz, _check_basis_inequality, _check_density,
     _check_dominance, _check_faithfulness, _check_finite_difference,
@@ -44,6 +44,15 @@ def test_criterion_03_unbounded_on_random_windows():
     printed = jsonable(_check_unbounded(_draw_windows(random.Random(20), 20, Fraction(1, 50))))
     assert exit_code(printed) == 0, printed
     assert time.monotonic() - start < 30.0
+
+
+def test_criterion_03_spent_budget_is_inconclusive(monkeypatch):
+    # no window of length >= 1/100 is known to spend maxgen 40 within seconds
+    spent = InconclusiveAtBudget("depth budget exhausted", {"maxgen": 40, "depth": 24})
+    monkeypatch.setattr(checklist, "unbounded_witness", lambda *args, **kwargs: spent)
+    printed = jsonable(_check_unbounded([(Fraction(1, 5), Fraction(6, 25))]))
+    assert exit_code(printed) == 2
+    assert printed == jsonable(spent)
 
 
 def test_criterion_04_dominance_index_minimality():
@@ -91,6 +100,18 @@ def test_criterion_08_dense_jumps_on_random_windows():
     assert time.monotonic() - start < 60.0
 
 
+def test_criterion_08_spent_budget_names_its_window(monkeypatch):
+    # no window of length >= 1/1000 is known to spend 10^5 indices within seconds
+    spent = InconclusiveAtBudget("no enumerated rational in the window certified a nonzero jump",
+                                 {"index_budget": 10**5, "terms": 64, "precision": 128})
+    monkeypatch.setattr(checklist, "jump_search", lambda *args, **kwargs: spent)
+    printed = jsonable(_check_density([("surd-rate-mix", Fraction(1, 5), Fraction(11, 50))]))
+    assert exit_code(printed) == 2
+    assert printed == {"verdict": INCONCLUSIVE,
+                       "reason": f"surd-rate-mix on [1/5, 11/50]: {spent.reason}",
+                       "budget": {"index_budget": 10**5, "terms": 64, "precision": 128}}
+
+
 def test_criterion_09_generator_polynomial_faithfulness():
     start = time.monotonic()
     printed = jsonable(_check_faithfulness(_draw_monomial_vectors(random.Random(9), 20)))
@@ -124,7 +145,7 @@ def test_criterion_12_spent_budget_is_inconclusive(monkeypatch):
     monkeypatch.setattr("realcert.checklist.alexiewicz_norm", lambda *args: spent)
     printed = jsonable(_check_alexiewicz((2,), []))
     assert exit_code(printed) == 2
-    assert printed == spent.as_json()
+    assert printed == jsonable(spent)
 
 
 def test_criterion_13_basis_inequality_random_vectors():

@@ -6,6 +6,7 @@ The enumeration-based checks cross the lazy aggregated quantities
 interval arithmetic at small depths where materializing is cheap.
 """
 
+import json
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -22,7 +23,7 @@ from realcert.cantor import (
     find_component,
     tower_generation,
 )
-from realcert.certificates import InconclusiveAtBudget
+from realcert.certificates import InconclusiveAtBudget, canonical_dumps
 from realcert.rational import pow2
 
 
@@ -197,6 +198,7 @@ def test_tower_spec_json_round_trip():
     for t in (TowerSpec("dyadic"), TowerSpec("factorial"),
               TowerSpec("explicit", (Fraction(1, 4), Fraction(1, 8)))):
         assert TowerSpec.from_json(t.as_json()) == t
+        assert TowerSpec.from_json(json.loads(canonical_dumps(t))) == t
 
 
 @pytest.mark.parametrize("j", [1, 2, 3, 4])

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from realcert.certificates import INCONCLUSIVE, InconclusiveAtBudget, jsonable
 from realcert.cli import build_parser, main
 
 TOWER = {
@@ -346,6 +347,73 @@ def test_report_starved_budget_is_inconclusive(specs, capsys):
     verdicts = [e["payload"].get("verdict") for e in out["entries"]]
     assert "inconclusive-at-budget" in verdicts
     assert any(v in ("certified", "computed") for v in verdicts)
+
+
+# -- a spent budget exits 2 and names itself ---------------------------------
+
+
+def test_unbounded_drill_past_maxgen_names_its_budgets(specs, capsys):
+    # generations 1..5 on the drill path all stay below the bound
+    bound = 10**21
+    code, out = run(capsys, "certify", "unbounded", "--spec", specs["tower"],
+                    "--interval", "3/8", "5/8", "--bound", str(bound),
+                    "--budget", "maxgen=5")
+    assert (code, out) == (2, {
+        "verdict": INCONCLUSIVE,
+        "reason": f"no generation <= 5 on the drill path exceeds {bound}",
+        "budget": {"maxgen": 5, "depth": 20}})
+
+
+def test_hole_over_the_whole_target_at_maxgen_names_its_budgets(specs, capsys):
+    # [7/16, 9/16] lies inside generation 1's central hole: the search would
+    # descend into generation 2's filler, which maxgen=1 refuses
+    code, out = run(capsys, "certify", "unbounded", "--spec", specs["tower"],
+                    "--interval", "7/16", "9/16", "--bound", "2", "--budget", "maxgen=1")
+    assert (code, out) == (2, {"verdict": INCONCLUSIVE,
+                               "reason": "generation budget exhausted",
+                               "budget": {"maxgen": 1, "depth": 20}})
+
+
+def test_report_non_lebesgue_names_its_peak_budget(capsys, tmp_path):
+    # bar 4 / alpha = 4000 lies far past the partial sums of 1000 peaks
+    spec = tmp_path / "small.json"
+    spec.write_text(json.dumps({**OSC, "body": {"alphas": {"1": "1/1000"}}}))
+    code, out = run(capsys, "report", str(spec))
+    assert code == 2
+    payloads = {e["claim"]: e["payload"] for e in out["entries"]}
+    spent = payloads["non-lebesgue"]
+    assert (spent["verdict"], spent["budget"]) == (INCONCLUSIVE, {"max_peaks": 1000})
+    assert spent["reason"].endswith(" after 1000 peaks has not reached 4000/1")
+    assert payloads["norm-enclosure"]["verdict"] == "computed"
+
+
+def test_report_dense_sample_names_its_index_budget(capsys, tmp_path):
+    # G = 7 S - 6 S^2; maxgen=1 lets the search scan 2 enumerated rationals
+    spec = tmp_path / "g76.json"
+    spec.write_text(json.dumps({"kind": "jump-polynomial", "body": {
+        "basis": [1], "G": [{"terms": [{"c": "7", "exp": [0]}]},
+                            {"terms": [{"c": "-6", "exp": [0]}]}]}}))
+    code, out = run(capsys, "report", str(spec), "--budget", "maxgen=1")
+    assert code == 2
+    dense = {e["claim"]: e["payload"] for e in out["entries"]}["jump-dense-sample"]
+    assert dense["verdict"] == INCONCLUSIVE
+    assert dense["budget"] == {"candidates": 1, "index_budget": 2, "precision": 128,
+                               "terms": 64}
+
+
+def test_spent_alexiewicz_search_passes_through(specs, capsys, monkeypatch):
+    # no input is known that spends this search within seconds
+    from realcert import oscillator
+    spent = InconclusiveAtBudget("boxes still open", {"tolerance": Fraction(1, 1000),
+                                                      "precision": 128})
+    monkeypatch.setattr(oscillator, "alexiewicz_norm", lambda *args: spent)
+    code, out = run(capsys, "norm", "alexiewicz", "--spec", specs["osc"])
+    assert (code, out) == (2, jsonable(spent))
+    assert out["budget"] == {"tolerance": "1/1000", "precision": 128}
+    code, out = run(capsys, "report", specs["osc"])
+    assert code == 2
+    assert [e["payload"] for e in out["entries"]
+            if e["claim"] == "norm-enclosure"] == [jsonable(spent)]
 
 
 # -- failure modes ----------------------------------------------------------

@@ -228,6 +228,28 @@ def test_cli_output_is_pinned(argv, code, digest, capsys, monkeypatch):
     assert (got, stripped_digest(out)) == (code, digest)
 
 
+# (argv, sha256 of the --csv file) for each of the four commands that write rows
+CSV_MATRIX = [
+    (("tower", "build", "--spec", T),
+     "081257cec0a8af2c7edf02bb50aeafdccbe23ce5cd2ad16bcca655075ad74013"),
+    (("tower", "show", "--spec", T, "--generation", "2", "--budget", "depth=3"),
+     "4ec1be23cdad5a9f9b1e03b240c2b2ea25a39d84effd86a12a358efd3bc862b2"),
+    (("fn", "eval", "--spec", J, "--at", "1/3", "--grid", "4"),
+     "571ed93c552daf507d0ebeca1e68142b97cfd56663a38d663711de8952e0a6fc"),
+    (("certify", "non-lebesgue", "--spec", O, "--bound", "4"),
+     "d4fa463621592f629118b7e991b2e47bcfa04209857d7ae77b475981d9dcc062"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CSV_MATRIX, ids=[" ".join(r[0]) for r in CSV_MATRIX])
+def test_csv_rows_are_pinned(argv, digest, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(SPECS)
+    rows = tmp_path / "rows.csv"
+    assert main([*argv, "--csv", str(rows)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(rows.read_bytes()).hexdigest() == digest
+
+
 @pytest.fixture
 def spec_dir(tmp_path, monkeypatch):
     """The bundled specs and SHAPES in one working directory."""

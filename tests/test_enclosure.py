@@ -48,6 +48,15 @@ def test_constructor_rejects_inverted():
         Enclosure(Fraction(1), Fraction(0))
 
 
+def test_constructor_reads_endpoints_as_exact_rationals():
+    # the coercion in __post_init__ is the public constructor's float refusal
+    assert Enclosure(1, "3/2") == Enclosure(Fraction(1), Fraction(3, 2))
+    with pytest.raises(TypeError, match=r"^cannot interpret 0\.5 as an exact rational$"):
+        Enclosure(0.5, 1)
+    with pytest.raises(TypeError, match="^bool is not a rational$"):
+        Enclosure(True, 2)
+
+
 def test_point_and_membership():
     e = Enclosure.point(Fraction(3, 7))
     assert e.lo == e.hi == Fraction(3, 7)

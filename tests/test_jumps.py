@@ -291,6 +291,7 @@ def test_exp_poly_validation():
 def test_exp_poly_json_round_trip():
     p = ExpPoly((2, 3), ((Fraction(1, 2), (1, 0)), (Fraction(-2), (0, 1))))
     assert ExpPoly.from_json(p.as_json(), (2, 3)) == p
+    assert ExpPoly.from_json(json.loads(canonical_dumps(p)), (2, 3)) == p
 
 
 # -- jump polynomials -------------------------------------------------------
@@ -423,9 +424,10 @@ def test_jump_polynomial_json_round_trip():
         (ExpPoly((2,), ((Fraction(1), (1,)),)), ExpPoly((2,), ((Fraction(-1, 3), (2,)),))),
         continuous=ExpPoly((2,), ((Fraction(2), (0,)),)),
     )
-    assert JumpPolynomial.from_json(g.as_json()) == g
     plain = staircase_polynomial()
-    assert JumpPolynomial.from_json(plain.as_json()) == plain
+    for poly in (g, plain):
+        assert JumpPolynomial.from_json(poly.as_json()) == poly
+        assert JumpPolynomial.from_json(json.loads(canonical_dumps(poly))) == poly
 
 
 # -- jump search ------------------------------------------------------------

@@ -8,6 +8,7 @@ hence the slack constant.
 """
 
 import heapq
+import json
 import random
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp, mpf
 
-from realcert.certificates import CERTIFIED, InconclusiveAtBudget, exit_code, jsonable
+from realcert.certificates import (CERTIFIED, InconclusiveAtBudget, canonical_dumps, exit_code,
+                                  jsonable)
 from realcert.checklist import _check_alexiewicz, _draw_combinations, _seeded
 from realcert import oscillator
 from realcert.enclosure import Enclosure, _sin_pi_fx, pi_const
@@ -369,6 +371,7 @@ def test_combination_sum_matches_full_sum(coeffs, centre, left, right, precision
 def test_combination_json_round_trip():
     c = OscCombination.of({1: Fraction(1, 2), 4: -3})
     assert OscCombination.from_json(c.as_json()) == c
+    assert OscCombination.from_json(json.loads(canonical_dumps(c))) == c
     # a library caller may key alphas by int, as OscCombination.of does
     assert OscCombination.from_json({"alphas": {1: "1/2", 4: -3}}) == c
     for key in ("0", "01", "-1", "x", "", "\u0661", None):

@@ -6,6 +6,7 @@ Closed forms used as frozen oracles:
   * tilt 3/2 on all generations sums to sum_k (3/4)^k = 3.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from realcert import stepseries
 from realcert.cantor import InfeasibleMass, TowerSpec
-from realcert.certificates import CERTIFIED, InconclusiveAtBudget
+from realcert.certificates import CERTIFIED, InconclusiveAtBudget, canonical_dumps, jsonable
 from realcert.enclosure import Enclosure
 from realcert.stepseries import (
     DivergentTail,
@@ -81,6 +82,7 @@ def test_series_json_round_trip():
         ),
     ):
         assert StepSeries.from_json(s.as_json()) == s
+        assert StepSeries.from_json(json.loads(canonical_dumps(s))) == s
 
 
 def test_value_at_generation():
@@ -103,7 +105,7 @@ def test_eval_zero_on_skeleton():
     for x in (Fraction(0), Fraction(1), Fraction(3, 8), Fraction(5, 8)):
         v = eval_series(s, x, maxgen=6, depth=6)
         assert isinstance(v, EvalVerdict)
-        assert v.as_json()["verdict"] == "zero" and v.as_json()["value"] == "0/1"
+        assert jsonable(v)["verdict"] == "zero" and jsonable(v)["value"] == "0/1"
         # stability: a deeper budget never contradicts the verdict
         assert eval_series(s, x, maxgen=20, depth=20) == v
 
@@ -125,7 +127,7 @@ def test_eval_in_last_explicit_hole_is_zero():
     v = eval_series(s, Fraction(1, 2))
     assert v == EvalVerdict(
         3, "inside a hole of the last generation 3, which no generation fills")
-    assert v.as_json() == {"verdict": "zero", "detail": v.detail, "value": "0/1",
+    assert jsonable(v) == {"verdict": "zero", "detail": v.detail, "value": "0/1",
                            "generation": 3}
     # with fewer generations allowed than the tower has, the budget runs out
     assert isinstance(eval_series(s, Fraction(1, 2), maxgen=2), InconclusiveAtBudget)
