@@ -22,6 +22,12 @@ from .enclosure import Enclosure, exp_enc, sqrt_enc
 from .rational import ONE, ZERO, RationalLike, SpecValue, as_fraction, ceil_scaled, floor_scaled
 
 
+# a jump-polynomial spec's |exponents| and basis surds: each surd then adds
+# under 1000 to a term's growth rate sum |n| sqrt(d), which sets exp's cost
+EXP_CEILING = 100
+SURD_CEILING = 100
+
+
 class OutOfRange(ValueError):
     """Point lies outside the open unit interval handled here."""
 
@@ -375,7 +381,7 @@ class ExpPoly:
 
     @staticmethod
     def from_json(data: object, basis: Sequence[int], path: str = "body") -> "ExpPoly":
-        terms = tuple((t["c"].rational(), t["exp"].integers())
+        terms = tuple((t["c"].rational(), t["exp"].bounded_integers(EXP_CEILING))
                       for t in SpecValue(data, path)["terms"].elements())
         return ExpPoly(tuple(basis), terms)
 
@@ -464,7 +470,7 @@ class JumpPolynomial:
     @staticmethod
     def from_json(data: object) -> "JumpPolynomial":
         node = SpecValue(data)
-        basis = node["basis"].integers()
+        basis = node["basis"].bounded_integers(SURD_CEILING)
         coeffs = tuple(ExpPoly.from_json(g.value, basis, g.path) for g in node["G"].elements())
         cont = node.get("continuous")
         extra = None if cont.value is None else ExpPoly.from_json(cont.value, basis, cont.path)

@@ -17,15 +17,15 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .certificates import CERTIFIED, Certificate, InconclusiveAtBudget
 from .enclosure import Enclosure, _sin_pi_range, pi_const, sqrt_enc
 # bound for bench/test_bench.py::Tracing::test_wrappers_count_and_are_removed
 from .enclosure import sin_pi  # noqa: F401
-from .rational import (HALF, ONE, ZERO, RationalLike, SpecError, SpecValue,
-                       as_fraction, dyadic_floor, format_fraction)
+from .rational import (ONE, ZERO, RationalLike, SpecError, SpecValue, as_fraction,
+                       dyadic_floor, dyadic_reduce, format_fraction)
 
 
 class ZeroCombination(ValueError):
@@ -48,29 +48,26 @@ def _phase_ends(a_lo: int, b_lo: int, a_hi: int, b_hi: int) -> tuple[int, int, i
     return b_hi * b_hi, 4 * a_hi * a_hi, b_lo * b_lo, 4 * a_lo * a_lo
 
 
-def _primitive_half(s_lo: Fraction, s_hi: Fraction, precision: int) -> Enclosure:
-    # 4 s^2 sin(pi/(4 s^2)) over 0 <= s_lo <= s <= s_hi <= 1/2
-    a_hi, b_hi = s_hi.numerator, s_hi.denominator
-    if s_lo == 0:
-        m = Fraction(4 * a_hi * a_hi, b_hi * b_hi)
-        return Enclosure(-m, m)  # |value| <= 4 s^2, sine bounded
-    a_lo, b_lo = s_lo.numerator, s_lo.denominator
+def _primitive_half(a_lo: int, b_lo: int, a_hi: int, b_hi: int,
+                    precision: int) -> tuple[int, int, int, int]:
+    # 4 s^2 sin(pi/(4 s^2)) over 0 <= a_lo/b_lo <= s <= a_hi/b_hi <= 1/2,
+    # as the ends lo_n/lo_d and hi_n/hi_d of the enclosure
+    if a_lo == 0:
+        m, q = 4 * a_hi * a_hi, b_hi * b_hi
+        return -m, q, m, q  # |value| <= 4 s^2, sine bounded
     sin_lo, sin_hi, w = _sin_pi_range(*_phase_ends(a_lo, b_lo, a_hi, b_hi), precision)
     # 4 s^2 sin, s > 0: the sign of each sine end picks its end of s
     x_a, x_b = (a_lo, b_lo) if sin_lo >= 0 else (a_hi, b_hi)
     y_a, y_b = (a_hi, b_hi) if sin_hi >= 0 else (a_lo, b_lo)
-    return Enclosure(Fraction(4 * x_a * x_a * sin_lo, x_b * x_b << w),
-                     Fraction(4 * y_a * y_a * sin_hi, y_b * y_b << w))
+    return 4 * x_a * x_a * sin_lo, x_b * x_b << w, 4 * y_a * y_a * sin_hi, y_b * y_b << w
 
 
-def _derivative_half(s_lo: Fraction, s_hi: Fraction, precision: int) -> Enclosure:
+def _derivative_half(a_lo: int, b_lo: int, a_hi: int, b_hi: int,
+                     precision: int) -> tuple[int, int, int, int]:
     # 8 s sin(pi/(4 s^2)) - (2 pi / s) cos(pi/(4 s^2)), s bounded away from 0
-    if s_lo <= 0:
+    if a_lo <= 0:
         raise UnboundedSpan("derivative is unbounded approaching the edge")
-    # on integers, s = a/b: each end below is the exact rational that
-    # interval arithmetic gives, and one Fraction is built per end
-    a_lo, b_lo = s_lo.numerator, s_lo.denominator
-    a_hi, b_hi = s_hi.numerator, s_hi.denominator
+    # each end below is the exact rational that interval arithmetic gives
     p_lo_n, p_lo_d, p_hi_n, p_hi_d = _phase_ends(a_lo, b_lo, a_hi, b_hi)
     sin_lo, sin_hi, w = _sin_pi_range(p_lo_n, p_lo_d, p_hi_n, p_hi_d, precision)
     # cos(pi c) = sin(pi (c + 1/2))
@@ -86,23 +83,33 @@ def _derivative_half(s_lo: Fraction, s_hi: Fraction, precision: int) -> Enclosur
     u_n, u_d = g_lo if cos_lo >= 0 else g_hi
     v_n, v_d = g_hi if cos_hi >= 0 else g_lo
     # swing - pull, every sine and cosine end on the 2**-w grid
-    return Enclosure(Fraction(8 * x_a * sin_lo * v_d - v_n * cos_hi * x_b, (x_b * v_d) << w),
-                     Fraction(8 * y_a * sin_hi * u_d - u_n * cos_lo * y_b, (y_b * u_d) << w))
+    return (8 * x_a * sin_lo * v_d - v_n * cos_hi * x_b, (x_b * v_d) << w,
+            8 * y_a * sin_hi * u_d - u_n * cos_lo * y_b, (y_b * u_d) << w)
 
 
-def _unit_branch(t_lo: Fraction, t_hi: Fraction, precision: int,
-                 primitive: bool) -> Enclosure:
-    """Hull of the two half-branches over [t_lo, t_hi] on the unit chart."""
-    if t_lo == t_hi and (t_lo == 0 or t_lo == 1):
-        return Enclosure(ZERO, ZERO)
+def _unit_branch(lo_n: int, lo_d: int, hi_n: int, hi_d: int, precision: int,
+                 primitive: bool) -> tuple[int, int, int, int]:
+    """Hull of the two half-branches over [lo_n/lo_d, hi_n/hi_d] on the unit chart.
+
+    The chart ends come in lowest terms, so that each phase keeps one
+    sine memo key; the hull's ends (lo_n, lo_d, hi_n, hi_d) come back
+    unreduced, over positive denominators.
+    """
+    if (lo_n, lo_d) == (hi_n, hi_d) and lo_n in (0, lo_d):
+        return 0, 1, 0, 1
     half = _primitive_half if primitive else _derivative_half
-    if t_hi <= HALF:
-        return half(t_lo, t_hi, precision)
-    # same formula in the reflected variable; the primitive flips sign
-    out = half(1 - t_hi, 1 - max(t_lo, HALF), precision)
+    if 2 * hi_n <= hi_d:
+        return half(lo_n, lo_d, hi_n, hi_d, precision)
+    # same formula in the reflected variable 1 - t; the primitive flips sign
+    right = (lo_d - lo_n, lo_d) if 2 * lo_n > lo_d else (1, 2)
+    n1, d1, n2, d2 = half(hi_d - hi_n, hi_d, *right, precision)
     if primitive:
-        out = -out
-    return out.hull(half(t_lo, HALF, precision)) if t_lo <= HALF else out
+        n1, d1, n2, d2 = -n2, d2, -n1, d1
+    if 2 * lo_n > lo_d:
+        return n1, d1, n2, d2
+    p1, q1, p2, q2 = half(lo_n, lo_d, 1, 2, precision)
+    return (*((n1, d1) if n1 * q1 <= p1 * d1 else (p1, q1)),
+            *((n2, d2) if n2 * q2 >= p2 * d2 else (p2, q2)))
 
 
 # every support's chart maps its dyadic boxes onto the same unit-chart
@@ -116,16 +123,18 @@ def _unit_measure(d: int, i: int, precision: int) -> tuple[int, int, int]:
     box midpoint (2i+1)/2^(d+1), taken at precision + 32, and a sup bound
     of |value| over the box [i/2^d, (i+1)/2^d].  The box lies in the left
     half, or is the root [0, 1], which measures as [0, 1/2] because
-    F(1 - t) = -F(t).
+    F(1 - t) = -F(t).  Every end is dyadic, so both values are reduced
+    by their trailing zero bits.
     """
-    s = Fraction(2 * i + 1, 2 << d)
-    point = _primitive_half(s, s, precision + 32).mignitude()
-    box = _primitive_half(Fraction(i, 1 << d), min(Fraction(i + 1, 1 << d), HALF),
-                          precision).mag()
-    # dyadic ends and sine ends on a 2**-w grid give dyadic values
-    grid = max(point.denominator, box.denominator)
-    return (point.numerator * (grid // point.denominator),
-            box.numerator * (grid // box.denominator), grid.bit_length() - 1)
+    lo, _, hi, den = _primitive_half(2 * i + 1, 2 << d, 2 * i + 1, 2 << d, precision + 32)
+    point, p = dyadic_reduce(lo if lo > 0 else -hi if hi < 0 else 0, den.bit_length() - 1)
+    a, a_e = dyadic_reduce(i, d)
+    b, b_e = dyadic_reduce(i + 1, d) if d else (1, 1)
+    lo, lo_d, hi, hi_d = _primitive_half(a, 1 << a_e, b, 1 << b_e, precision)
+    grid = max(lo_d, hi_d)
+    box, q = dyadic_reduce(max(-lo * (grid // lo_d), hi * (grid // hi_d)), grid.bit_length() - 1)
+    e = max(p, q)
+    return point << e - p, box << e - q, e
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +182,9 @@ class Oscillator:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @property
+    @cached_property
     def length(self) -> Fraction:
         return self.hi - self.lo
-
-    def _chart(self, x_lo: Fraction, x_hi: Fraction) -> tuple[Fraction, Fraction]:
-        return (x_lo - self.lo) / self.length, (x_hi - self.lo) / self.length
 
     def _eval(self, x: "Enclosure | RationalLike", precision: int,
               primitive: bool) -> Enclosure:
@@ -186,15 +192,22 @@ class Oscillator:
             x_lo, x_hi = x.lo, x.hi
         else:
             x_lo = x_hi = as_fraction(x)
-        if x_hi < self.lo or x_lo > self.hi:
+        # the chart onto [0, 1] on integers: t = (x - lo) / length = n / m
+        (a, b), (l_n, l_d) = self.lo.as_integer_ratio(), self.length.as_integer_ratio()
+        (n0, m0), (n1, m1) = [((q.numerator * b - a * q.denominator) * l_d,
+                               q.denominator * b * l_n) for q in (x_lo, x_hi)]
+        if n1 < 0 or n0 > m0:
             return Enclosure(ZERO, ZERO)
-        t_lo, t_hi = self._chart(max(x_lo, self.lo), min(x_hi, self.hi))
-        inner = _unit_branch(t_lo, t_hi, precision, primitive)
-        if not primitive:
-            inner = inner * (1 / self.length)
-        if x_lo < self.lo or x_hi > self.hi:
-            inner = inner.hull(Enclosure(ZERO, ZERO))
-        return inner
+        outside = n0 < 0 or n1 > m1
+        n0, n1 = max(n0, 0), min(n1, m1)
+        g0, g1 = gcd(n0, m0), gcd(n1, m1)
+        lo_n, lo_d, hi_n, hi_d = _unit_branch(n0 // g0, m0 // g0, n1 // g1, m1 // g1,
+                                              precision, primitive)
+        if not primitive:  # the derivative divides by the length
+            lo_n, lo_d, hi_n, hi_d = lo_n * l_d, lo_d * l_n, hi_n * l_d, hi_d * l_n
+        if outside:  # the hull with the zero outside the support
+            lo_n, hi_n = min(lo_n, 0), max(hi_n, 0)
+        return Enclosure(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
 
     def primitive_at(self, x: "Enclosure | RationalLike", precision: int = 96) -> Enclosure:
         return self._eval(x, precision, primitive=True)
@@ -586,5 +599,9 @@ def slope_bound(o: Oscillator, x_lo: RationalLike, x_hi: RationalLike,
     if not o.lo < a < b < o.hi:
         raise UnboundedSpan(f"span [{a}, {b}] must sit strictly inside the support")
     t = min(a - o.lo, o.hi - b) / o.length
-    pi_hi = pi_const(precision).hi
-    return (8 + 2 * pi_hi / t ** 2 + pi_hi ** 2 / t ** 4) / o.length ** 2
+    n, m = t.numerator ** 2, t.denominator ** 2
+    p, q = pi_const(precision).hi.as_integer_ratio()
+    l_n, l_d = o.length.as_integer_ratio()
+    # (8 + 2 pi/t^2 + pi^2/t^4) / length^2 over one denominator, t^2 = n/m
+    return Fraction((8 * q * q * n * n + 2 * p * q * m * n + p * p * m * m) * l_d * l_d,
+                    q * q * n * n * l_n * l_n)

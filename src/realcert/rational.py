@@ -9,7 +9,7 @@ that parsing needs no special cases.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 RationalLike = Fraction | int | str
 
@@ -84,6 +84,13 @@ class SpecValue:
     def integers(self) -> tuple[int, ...]:
         return tuple(n.integer() for n in self.elements())
 
+    def bounded_integers(self, ceiling: int) -> tuple[int, ...]:
+        """JSON integers of magnitude at most ceiling; a larger one is refused."""
+        for n in self.elements():
+            if abs(n.integer()) > ceiling:
+                raise SpecError(f"{n.path}: magnitude above the ceiling {ceiling}")
+        return self.integers()
+
     def rational(self) -> Fraction:
         """An integer or a "p/q" string, under as_fraction's rule."""
         try:
@@ -116,21 +123,45 @@ def ceil_scaled(q: Fraction, bits: int) -> int:
     return -((-q.numerator << bits) // q.denominator)
 
 
+def _unnormalised(cls: type = Fraction) -> Callable[[int, int], Fraction]:
+    """cls(n, d) for coprime n and d > 0, without the gcd where cls allows.
+
+    Tried once: where neither spelling of CPython's private constructor
+    builds 3/4, cls stands in, gcd and all.  dyadic_sum is the only caller.
+    """
+    make = getattr(cls, "_from_coprime_ints", None) or (
+        lambda n, d: cls(n, d, _normalize=False))
+    try:
+        return make if make(3, 4) == cls(3, 4) else cls
+    except TypeError:
+        return cls
+
+
+_coprime = _unnormalised()
+
+
 def dyadic_sum(terms: Iterable[Fraction]) -> Fraction:
     """Exact sum, adding dyadic summands as integers on one grid.
 
     Fraction addition runs a gcd on every step, which dominates long sums
     of dyadic rationals with large denominators.  When every denominator
-    is a power of two, the numerators are shifted onto the largest one and
-    a single Fraction is built at the end.  Any other denominator falls
-    back to the plain Fraction sum.
+    is a power of two, the numerators are shifted onto the largest one,
+    the sum drops its common factors of two, and one Fraction is built
+    with no gcd.  Any other denominator falls back to the plain Fraction sum.
     """
     terms = list(terms)
     if any(q.denominator & (q.denominator - 1) for q in terms):
         return sum(terms, ZERO)
     bits = max((q.denominator.bit_length() for q in terms), default=1) - 1
-    return Fraction(sum(q.numerator << (bits + 1 - q.denominator.bit_length())
-                        for q in terms), 1 << bits)
+    n, bits = dyadic_reduce(sum(q.numerator << (bits + 1 - q.denominator.bit_length())
+                                for q in terms), bits)
+    return _coprime(n, 1 << bits)
+
+
+def dyadic_reduce(n: int, bits: int) -> tuple[int, int]:
+    """n / 2**bits in lowest terms, as (numerator, bits); bits >= 0."""
+    shift = min((n & -n).bit_length() - 1, bits) if n else bits
+    return n >> shift, bits - shift
 
 
 def dyadic_floor(q: Fraction, bits: int) -> Fraction:

@@ -500,17 +500,13 @@ def basis_inequality_check(
         raise ValueError("fewer coefficients than m2")
     _check_disjoint_supports(family[:m2])
     norms = [l1_norm(g, terms, depth) for g in family[:m2]]
-    left = Enclosure(ZERO, ZERO)
-    right = Enclosure(ZERO, ZERO)
-    margin = ZERO
-    for k in range(m2):
-        scaled = Enclosure(abs(a[k]) * norms[k].lo, abs(a[k]) * norms[k].hi)
-        right = right + scaled
-        if k < m1:
-            left = left + scaled
-        else:
-            margin += abs(a[k]) * norms[k].lo
-    return BasisComparison(left, right, margin)
+    # the lower ends are dyadic with denominators of many thousand bits, so
+    # each sum is formed once on integers rather than by Fraction additions
+    lows = [abs(c) * e.lo for c, e in zip(a, norms)]
+    highs = [abs(c) * e.hi for c, e in zip(a, norms)]
+    return BasisComparison(Enclosure(dyadic_sum(lows[:m1]), dyadic_sum(highs[:m1])),
+                           Enclosure(dyadic_sum(lows), dyadic_sum(highs)),
+                           dyadic_sum(lows[m1:]))
 
 
 def _check_disjoint_supports(family: Sequence[StepSeries]) -> None:

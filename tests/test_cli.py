@@ -12,9 +12,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from realcert.certificates import INCONCLUSIVE, InconclusiveAtBudget, jsonable
 from realcert.cli import build_parser, main
+from realcert.jumps import EXP_CEILING, SURD_CEILING
 
 TOWER = {
     "kind": "tower-series",
@@ -609,6 +611,70 @@ def test_malformed_spec_values_name_their_json_path(capsys, tmp_path, spec, argv
     assert code == 1 and "Traceback" not in captured.err
     error = json.loads(captured.out)["error"]  # one JSON document, nothing else
     assert error == message or error.endswith(f": {message}")
+
+
+def _refusal(capsys, tmp_path, body, *argv):
+    """(exit code, error, seconds) of a jump-polynomial command on body."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(JUMP, body=body)))
+    start = time.perf_counter()
+    code = main([*argv, "--spec", str(path)])
+    seconds = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return code, json.loads(captured.out).get("error"), seconds
+
+
+@pytest.mark.parametrize("body,where,ceiling", [
+    # ran past a 10-s timeout in exp_enc
+    (_jump_term(exp=[1000000])["body"], "body.G[0].terms[0].exp[0]", EXP_CEILING),
+    # took about 9 s in the surd's trial division
+    (_jump_term(exp=[0], basis=[1000000000000037])["body"], "body.basis[0]", SURD_CEILING),
+], ids=["exp", "surd"])
+def test_spec_integers_above_their_ceiling_exit_1_at_once(capsys, tmp_path, body, where,
+                                                          ceiling):
+    code, error, seconds = _refusal(capsys, tmp_path, body, "fn", "eval", "--at", "1/3")
+    assert (code, error) == (1, f"{where}: magnitude above the ceiling {ceiling}")
+    assert seconds < 1
+
+
+def test_spec_integers_at_their_ceiling_are_read(capsys, tmp_path):
+    # the largest squarefree surd under the ceiling, and exponents at both ends
+    surd = max(d for d in range(1, SURD_CEILING + 1)
+               if all(d % (p * p) for p in range(2, d)))
+    body = {"basis": [1, surd], "G": [{"terms": [{"c": "1", "exp": [EXP_CEILING, -EXP_CEILING]},
+                                                 {"c": "1", "exp": [-EXP_CEILING, EXP_CEILING]}]}]}
+    code, error, _ = _refusal(capsys, tmp_path, body, "fn", "eval", "--at", "1/3")
+    assert (code, error) == (0, None)
+
+
+_CEILING_BODY = {"basis": [1, 2], "G": [{"terms": [{"c": "1", "exp": [1, 0]}]}],
+                 "continuous": {"terms": [{"c": "1/2", "exp": [0, 1]}]}}
+# each exponent and surd site of _CEILING_BODY: (keys, printed path, ceiling)
+_CEILING_SITES = [
+    (("basis", 0), "body.basis[0]", SURD_CEILING),
+    (("basis", 1), "body.basis[1]", SURD_CEILING),
+    (("G", 0, "terms", 0, "exp", 0), "body.G[0].terms[0].exp[0]", EXP_CEILING),
+    (("continuous", "terms", 0, "exp", 1), "body.continuous.terms[0].exp[1]", EXP_CEILING),
+]
+
+
+@given(st.sampled_from(_CEILING_SITES), st.integers(min_value=1, max_value=10**40),
+       st.sampled_from((1, -1)),
+       st.sampled_from((("fn", "eval", "--at", "1/3"), ("norm", "bv"),
+                        ("certify", "jump-dense", "--interval", "0", "1"))))
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_huge_exponents_and_surds_are_refused_by_path(capsys, tmp_path, site, excess, sign,
+                                                      argv):
+    keys, where, ceiling = site
+    body = json.loads(json.dumps(_CEILING_BODY))
+    node = body
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = sign * (ceiling + excess)
+    code, error, _ = _refusal(capsys, tmp_path, body, *argv)
+    assert (code, error) == (1, f"{where}: magnitude above the ceiling {ceiling}")
 
 
 def test_report_tolerance_below_range_is_rejected(specs, capsys):

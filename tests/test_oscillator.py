@@ -577,6 +577,19 @@ def test_derivative_sine_shares_the_primitive_phase_key():
     assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
 
 
+@pytest.mark.parametrize("x, t", [(Fraction(3, 10), Fraction(1, 5)),
+                                  (Fraction(7, 16), Fraction(3, 4))])
+def test_host_chart_ends_are_reduced_to_the_unit_phase_key(x, t):
+    # x on [1/4, 1/2] charts to t on [0, 1]; in lowest terms, the host's
+    # phase key is the unit oscillator's at t, so the second call only hits
+    _sin_pi_fx.cache_clear()
+    host = osc_eval(Oscillator(Fraction(1, 4), Fraction(1, 2), kind="primitive"), x, 128)
+    before = _sin_pi_fx.cache_info()
+    assert osc_eval(Oscillator(kind="primitive"), t, 128) == host
+    after = _sin_pi_fx.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+
 def test_check_alexiewicz_sin_pi_effort():
     # the bisection's children share phase endpoints with their parent
     # and their siblings, so about half the kernel points are asked for
@@ -613,12 +626,27 @@ def reference_primitive_half(s_lo, s_hi, precision):
     return sq * reference_sin_pi(phase, precision)
 
 
-def _over_fractions(fn, *args):
-    """fn(*args) with the oscillator's primitive and derivative branches on Fractions."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oscillator, "_primitive_half", reference_primitive_half)
-        patch.setattr(oscillator, "_derivative_half", reference_derivative_half)
-        return fn(*args)
+def _ints(*ends):
+    """Fraction chart ends as the integers (n, d, ...) the unit-chart helpers take."""
+    return [v for q in ends for v in (q.numerator, q.denominator)]
+
+
+def _enclosure(ends):
+    lo_n, lo_d, hi_n, hi_d = ends
+    return Enclosure(Fraction(lo_n, lo_d), Fraction(hi_n, hi_d))
+
+
+def unit_branch(t_lo, t_hi, precision, primitive):
+    """The oscillator's integer _unit_branch, called and answered in Fractions."""
+    return _enclosure(_unit_branch(*_ints(t_lo, t_hi), precision, primitive))
+
+
+def _half(primitive, oracle):
+    """A half-branch in Fractions: the Fraction oracle, or the oscillator's own."""
+    if oracle:
+        return reference_primitive_half if primitive else reference_derivative_half
+    half = oscillator._primitive_half if primitive else oscillator._derivative_half
+    return lambda s_lo, s_hi, precision: _enclosure(half(*_ints(s_lo, s_hi), precision))
 
 
 def _or_unbounded(fn, *args):
@@ -656,8 +684,8 @@ _CHART_BOXES = st.one_of(
 @given(_CHART_BOXES, PRECISIONS, st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_unit_branch_is_the_fraction_reference(box, precision, primitive):
-    args = (_unit_branch, *box, precision, primitive)
-    assert _or_unbounded(*args) == _over_fractions(_or_unbounded, *args)
+    args = (*box, precision, primitive)
+    assert _or_unbounded(unit_branch, *args) == _or_unbounded(reference_unit_branch, *args, True)
 
 
 @given(st.integers(min_value=0, max_value=14).flatmap(
@@ -665,18 +693,22 @@ def test_unit_branch_is_the_fraction_reference(box, precision, primitive):
        PRECISIONS)
 @settings(max_examples=150, deadline=None)
 def test_unit_measure_is_the_fraction_reference(box, precision):
-    want = _over_fractions(_unit_measure.__wrapped__, *box, precision)
+    d, i = box
+    want = reference_unit_measure((1 << d) + i, precision, True)
     assert _unit_measure(*box, precision) == want
 
 
 # -- mirror oracle: both half-branches evaluated, mirrored and hulled ----------
 
 
-def reference_unit_branch(t_lo, t_hi, precision, primitive):
-    """Reference: each half-branch the box meets, evaluated and hulled."""
+def reference_unit_branch(t_lo, t_hi, precision, primitive, oracle=False):
+    """Reference: each half-branch the box meets, evaluated and hulled.
+
+    oracle evaluates the half-branches in Fraction arithmetic throughout.
+    """
     if t_lo == t_hi and (t_lo == 0 or t_lo == 1):
         return Enclosure(Fraction(0), Fraction(0))
-    half = oscillator._primitive_half if primitive else oscillator._derivative_half
+    half = _half(primitive, oracle)
     parts = []
     if t_lo <= Fraction(1, 2):
         parts.append(half(t_lo, min(t_hi, Fraction(1, 2)), precision))
@@ -689,13 +721,13 @@ def reference_unit_branch(t_lo, t_hi, precision, primitive):
     return out
 
 
-def reference_unit_measure(n, precision):
+def reference_unit_measure(n, precision, oracle=False):
     """Reference: node n = 2^d + i measured on its own box, both halves hulled."""
     d = n.bit_length() - 1
     i = n - (1 << d)
     t = Fraction(2 * i + 1, 2 << d)
-    point = reference_unit_branch(t, t, precision + 32, True).mignitude()
-    box = reference_unit_branch(*_dyadic_box(d, i), precision, True).mag()
+    point = reference_unit_branch(t, t, precision + 32, True, oracle).mignitude()
+    box = reference_unit_branch(*_dyadic_box(d, i), precision, True, oracle).mag()
     grid = max(point.denominator, box.denominator)
     return (point.numerator * (grid // point.denominator),
             box.numerator * (grid // box.denominator), grid.bit_length() - 1)
@@ -772,14 +804,14 @@ _MIRROR_BOXES = [
 def test_unit_branch_matches_both_halves_on_the_mirror_cases(box, primitive):
     for precision in (32, 64, 128):
         args = (*box, precision, primitive)
-        assert _or_unbounded(_unit_branch, *args) == _or_unbounded(reference_unit_branch, *args)
+        assert _or_unbounded(unit_branch, *args) == _or_unbounded(reference_unit_branch, *args)
 
 
 @given(_CHART_BOXES, PRECISIONS, st.booleans())
 @settings(max_examples=200, deadline=None)
 def test_unit_branch_matches_both_halves(box, precision, primitive):
     args = (*box, precision, primitive)
-    assert _or_unbounded(_unit_branch, *args) == _or_unbounded(reference_unit_branch, *args)
+    assert _or_unbounded(unit_branch, *args) == _or_unbounded(reference_unit_branch, *args)
 
 
 def test_alexiewicz_rejects_bad_tolerance():

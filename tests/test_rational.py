@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from realcert.rational import ZERO, SpecError, SpecValue, dyadic_sum
+from realcert.rational import ZERO, SpecError, SpecValue, dyadic_reduce, dyadic_sum
 
 _DYADIC = st.builds(lambda num, bits: Fraction(num, 1 << bits),
                     st.integers(min_value=-(1 << 300), max_value=1 << 300),
@@ -27,11 +27,51 @@ def test_dyadic_sum_matches_sum_on_mixed_terms(terms):
     assert dyadic_sum(terms) == sum(terms, ZERO)
 
 
+# denominators up to 2^20000, as the lower ends of check 13's norms carry
+_WIDE = st.builds(lambda num, bits: Fraction(num, 1 << bits),
+                  st.integers(min_value=-(1 << 80), max_value=1 << 80),
+                  st.integers(min_value=0, max_value=20000))
+_SUMS = st.one_of(
+    st.just([]),
+    st.lists(_WIDE, max_size=12),
+    # terms that cancel to zero, in any order
+    st.lists(_WIDE, max_size=6).flatmap(
+        lambda terms: st.permutations(terms + [-q for q in terms])),
+    st.lists(_WIDE.map(lambda q: -abs(q)), min_size=1, max_size=12),
+    # terms on one grid, whose sum may end in many zero bits
+    st.lists(st.integers(min_value=-50, max_value=50), max_size=12).map(
+        lambda ns: [Fraction(n, 1 << 64) for n in ns] + [Fraction(1, 1 << 64)]),
+)
+
+
+@given(_SUMS)
+@settings(max_examples=300, deadline=None)
+def test_dyadic_sum_builds_the_reduced_fraction(terms):
+    # dyadic_sum skips Fraction's gcd, so its result must already be the
+    # reduced fraction the plain sum gives, down to the hash
+    got, want = dyadic_sum(terms), sum(terms, ZERO)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator, hash(got)) == (
+        want.numerator, want.denominator, hash(want))
+
+
 def test_dyadic_sum_edge_cases():
     assert dyadic_sum([]) == 0
     assert dyadic_sum(iter([Fraction(1, 2), Fraction(1, 4)])) == Fraction(3, 4)
     assert dyadic_sum([Fraction(3, 8), Fraction(-3, 8)]) == 0
     assert dyadic_sum([Fraction(1, 2), Fraction(1, 3)]) == Fraction(5, 6)
+    for terms, want in (([], (0, 1)), ([Fraction(3, 8), Fraction(5, 8)], (1, 1)),
+                        ([Fraction(-3, 8), Fraction(1, 8)], (-1, 4)),
+                        ([Fraction(5, 1 << 9), Fraction(3, 1 << 9)], (1, 64))):
+        got = dyadic_sum(terms)
+        assert (got.numerator, got.denominator) == want
+
+
+@pytest.mark.parametrize("n,bits,want", [
+    (0, 0, (0, 0)), (0, 7, (0, 0)), (12, 0, (12, 0)), (12, 1, (6, 0)), (12, 5, (3, 3)),
+    (-40, 2, (-10, 0)), (-40, 9, (-5, 6)), (7, 3, (7, 3))])
+def test_dyadic_reduce(n, bits, want):
+    assert dyadic_reduce(n, bits) == want
 
 
 # -- spec readers -------------------------------------------------------------

@@ -3,12 +3,14 @@
 Each row gives a key's default, its accepted range and its lower
 ceilings, in the order ``BUDGETS`` declares them.  A row may end in a
 note after its ceilings, opened by " (".  The search cap named under the
-table is ``cli.INDEX_CEILING``.
+table is ``cli.INDEX_CEILING``, and the spec ceilings are
+``jumps.EXP_CEILING`` and ``jumps.SURD_CEILING``.
 """
 
 from pathlib import Path
 
 from realcert.cli import BUDGETS, INDEX_CEILING
+from realcert.jumps import EXP_CEILING, SURD_CEILING
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 HEADER = "| key | default | accepted range | lower ceilings |"
@@ -41,3 +43,9 @@ def test_budget_table_matches_budgets():
 
 def test_index_ceiling_is_quoted():
     assert f"`INDEX_CEILING` = {INDEX_CEILING}" in README.read_text(encoding="utf-8")
+
+
+def test_spec_ceilings_are_quoted():
+    text = README.read_text(encoding="utf-8")
+    assert f"`EXP_CEILING` = {EXP_CEILING}" in text
+    assert f"`SURD_CEILING` = {SURD_CEILING}" in text

@@ -367,6 +367,38 @@ def test_basis_inequality_random_vectors(coeffs, m1):
     assert got.right.lo == got.left.lo + got.margin_lower
 
 
+def reference_basis_inequality(coeffs, m1, m2, family, terms=24, depth=16):
+    """The comparison by one Enclosure addition per member, in Fractions throughout."""
+    norms = [l1_norm(g, terms, depth) for g in family[:m2]]
+    left = right = Enclosure(Fraction(0), Fraction(0))
+    margin = Fraction(0)
+    for k, c in enumerate(map(Fraction, coeffs[:m2])):
+        scaled = Enclosure(abs(c) * norms[k].lo, abs(c) * norms[k].hi)
+        right = right + scaled
+        if k < m1:
+            left = left + scaled
+        else:
+            margin += abs(c) * norms[k].lo
+    return left, right, margin
+
+
+@given(st.lists(st.integers(-3, 3) | st.fractions(min_value=-3, max_value=3,
+                                                  max_denominator=12), min_size=6, max_size=6),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=5),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_basis_inequality_is_the_enclosure_sum(coeffs, m2, drop, integers):
+    # integer coefficients keep every lower end dyadic; a rational one takes
+    # dyadic_sum's Fraction fallback
+    if integers:
+        coeffs = [Fraction(round(c)) for c in coeffs]
+    m1 = max(1, m2 - drop)
+    family = disjoint_power_family(Fraction(3, 2), 6)
+    got = basis_inequality_check(coeffs, m1, m2, family)
+    assert (got.left, got.right, got.margin_lower) == reference_basis_inequality(
+        coeffs, m1, m2, family)
+
+
 def test_basis_inequality_validation():
     fam = disjoint_power_family(Fraction(3, 2), 2)
     with pytest.raises(ValueError):
