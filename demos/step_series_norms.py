@@ -28,9 +28,10 @@ print(f"  contains 9/7: {enc.lo <= Fraction(9, 7) <= enc.hi},"
 print()
 print("pointwise verdicts for the a.e. representative:")
 for x in (Fraction(3, 8), Fraction(1, 3), Fraction(829, 2048)):
-    v = eval_series(series, x, maxgen=24, depth=24)
-    if isinstance(v, InconclusiveAtBudget):
-        print(f"  f({x}) -> inconclusive: {v.reason}")
+    try:
+        v = eval_series(series, x, maxgen=24, depth=24)
+    except InconclusiveAtBudget as spent:
+        print(f"  f({x}) -> inconclusive: {spent.reason}")
     else:
         print(f"  f({x}) -> 0: {v.detail}")
 

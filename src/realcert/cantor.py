@@ -365,7 +365,7 @@ def find_component(
     *,
     max_generation: int,
     depth: int,
-) -> ComponentWitness | InconclusiveAtBudget:
+) -> ComponentWitness:
     """First component (on a deterministic drill path) whose span lies in [lo, hi].
 
     The drill keeps a target subinterval T of [lo, hi] inside the current
@@ -375,7 +375,8 @@ def find_component(
     into its filling component; a hole straddling T's edge shrinks T to
     the larger remaining piece, at least halving it, so the depth budget
     bounds the whole search.  A drill past an explicit tower's last
-    generation raises InfeasibleMass.
+    generation raises InfeasibleMass; a spent budget raises
+    InconclusiveAtBudget.
     """
     j1, j2 = as_fraction(lo), as_fraction(hi)
     budget = {"maxgen": max_generation, "depth": depth}
@@ -401,13 +402,13 @@ def find_component(
             if t1 <= g1 and g2 <= t2:
                 # hole inside the target: its filling component is the witness
                 if gen + 1 > max_generation:
-                    return InconclusiveAtBudget("generation budget exhausted", budget)
+                    raise InconclusiveAtBudget("generation budget exhausted", budget)
                 return ComponentWitness(gen + 1, _fill(spec, gen + 1, g1, g2, depth))
             if g1 < m < g2:
                 if g1 <= t1 and t2 <= g2:
                     # hole covers the whole target: descend into its filler
                     if gen + 1 > max_generation:
-                        return InconclusiveAtBudget("generation budget exhausted", budget)
+                        raise InconclusiveAtBudget("generation budget exhausted", budget)
                     gen += 1
                     comp = _fill(spec, gen, g1, g2, depth).spec
                 else:
@@ -416,7 +417,7 @@ def find_component(
                     right = (max(t1, g2), t2)
                     pick = left if left[1] - left[0] >= right[1] - right[0] else right
                     if pick[1] <= pick[0]:
-                        return InconclusiveAtBudget("target shrank to a point", budget)
+                        raise InconclusiveAtBudget("target shrank to a point", budget)
                     t1, t2 = pick
                 descended = True
                 break
@@ -424,6 +425,6 @@ def find_component(
                 p = g2
             n += 1
         if not descended:
-            return InconclusiveAtBudget("depth budget exhausted", budget)
-    return InconclusiveAtBudget("search budget exhausted", budget)
+            raise InconclusiveAtBudget("depth budget exhausted", budget)
+    raise InconclusiveAtBudget("search budget exhausted", budget)
 

@@ -3,7 +3,10 @@
 A certificate bundles the claim being checked, a verdict, and the exact
 rationals / enclosures that let a reader re-check the claim without
 trusting this code.  Serialization is canonical (sorted keys, no float
-round-trips) so identical runs produce byte-identical output.
+round-trips) so identical runs produce byte-identical output.  A bounded
+search that spends its budget raises InconclusiveAtBudget, and the two
+places that print outcomes, `cli.main` and `timed_check`, catch it and
+print it like any other outcome.
 """
 
 from __future__ import annotations
@@ -43,14 +46,20 @@ def exit_code(printed: dict) -> int:
 
 
 @dataclass(frozen=True)
-class InconclusiveAtBudget:
+class InconclusiveAtBudget(Exception):
     """The finite search did not settle the claim; never a refutation.
 
-    Every bounded search returns this when its budget, named in budget, runs out.
+    Every bounded search raises this when its budget, named in budget, runs
+    out.  Only the code that prints outcomes catches it: `cli.main` prints
+    it as the command's outcome and `timed_check` as a check's payload.  It
+    is not a ValueError, which `cli.main` reports as a bad request.
     """
 
     reason: str
     budget: dict = field(default_factory=dict)
+
+    def __str__(self) -> str:
+        return self.reason
 
     def as_json(self) -> dict:
         return {"verdict": INCONCLUSIVE, "reason": self.reason, "budget": self.budget}
@@ -100,8 +109,14 @@ class Certificate:
 
 
 def timed_check(check: Callable[[], Any]) -> dict:
-    """Run one check: its outcome as JSON, with wall_ms."""
+    """Run one check: its outcome as JSON, with wall_ms.
+
+    A spent budget is the check's outcome, not an error.
+    """
     started = time.monotonic()
-    outcome = check()
+    try:
+        outcome = check()
+    except InconclusiveAtBudget as spent:
+        outcome = spent
     wall = int(round(1000 * (time.monotonic() - started)))
     return {"payload": jsonable(outcome), "wall_ms": wall}

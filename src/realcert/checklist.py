@@ -2,9 +2,11 @@
 
 One check per headline property of the constructions.  Each check is a
 function of the samples it checks (windows, indices, coefficient vectors
-or points) and returns its outcome: a payload whose verdict is certified,
-computed or failed, or an InconclusiveAtBudget.  The exit code is read
-from that verdict (`certificates.exit_code`).  The bundled report runs
+or points) and returns its outcome, a payload whose verdict is certified,
+computed or failed; a search that spends its budget raises
+InconclusiveAtBudget, which `certificates.timed_check` records as the
+outcome.  The exit code is read from that verdict
+(`certificates.exit_code`).  The bundled report runs
 every check on small seeded draws; the acceptance battery runs the same
 functions on larger draws of its own.  Fixed seeds keep the report
 reproducible byte for byte apart from wall-clock fields.
@@ -87,7 +89,7 @@ def _check_l1() -> dict:
             "closed_form": target}
 
 
-def _check_unbounded(windows: Sequence[tuple[Fraction, Fraction]]) -> dict | InconclusiveAtBudget:
+def _check_unbounded(windows: Sequence[tuple[Fraction, Fraction]]) -> dict:
     """|series| > 10^6 on a component inside every window of length >= 1/100."""
     series = _even_tilt_series()
     bar = Fraction(10**6)
@@ -97,8 +99,6 @@ def _check_unbounded(windows: Sequence[tuple[Fraction, Fraction]]) -> dict | Inc
     witnesses = []
     for lo, hi in windows:
         got = unbounded_witness(series, lo, hi, bar, maxgen=maxgen, depth=24)
-        if isinstance(got, InconclusiveAtBudget):
-            return got
         if not (abs(got.value) > bar and got.generation <= maxgen):
             return {"verdict": FAILED, "window": [lo, hi],
                     "generation": got.generation, "value": got.value}
@@ -171,19 +171,20 @@ def _draw_density_windows(rng: random.Random, per_target: int) -> list[tuple[str
     return windows
 
 
-def _check_density(windows: Sequence[tuple[str, Fraction, Fraction]]) -> dict | InconclusiveAtBudget:
+def _check_density(windows: Sequence[tuple[str, Fraction, Fraction]]) -> dict:
     """Every window of length >= 1/1000 holds a rational with a certified nonzero jump."""
     if any(hi - lo < Fraction(1, 1000) for _, lo, hi in windows):
         raise ValueError("the claim covers windows of length >= 1/1000 only")
     targets = _density_targets()
     outcomes = []
     for name, lo, hi in windows:
-        got = jump_search(targets[name], lo, hi, Fraction(1, 1000),
-                          index_budget=_INDEX_BUDGET, terms=64, precision=128)
-        if isinstance(got, InconclusiveAtBudget):
-            return InconclusiveAtBudget(
-                f"{name} on [{format_fraction(lo)}, {format_fraction(hi)}]: {got.reason}",
-                got.budget)
+        try:
+            got = jump_search(targets[name], lo, hi, Fraction(1, 1000),
+                              index_budget=_INDEX_BUDGET, terms=64, precision=128)
+        except InconclusiveAtBudget as spent:
+            raise InconclusiveAtBudget(
+                f"{name} on [{format_fraction(lo)}, {format_fraction(hi)}]: {spent.reason}",
+                spent.budget) from spent
         if not (lo <= got.point <= hi and got.index <= _INDEX_BUDGET
                 and not got.jump.contains_zero()):
             return {"verdict": FAILED, "polynomial": name, "window": [lo, hi],
@@ -304,14 +305,11 @@ def _draw_combinations(rng: random.Random, count: int) -> list[dict[int, Fractio
 
 
 def _check_alexiewicz(depths: Sequence[int],
-                      combinations: Sequence[dict[int, Fraction]]) -> dict | InconclusiveAtBudget:
+                      combinations: Sequence[dict[int, Fraction]]) -> dict:
     """Unit norm in [0.68, 0.69], the same at every depth, scaling with max |alpha_k|."""
     tol = Fraction(1, 1000)
     units = [{k: 1} for k in (1, *depths)]
     norms = [alexiewicz_norm(OscCombination.of(c), tol) for c in (*units, *combinations)]
-    for got in norms:
-        if isinstance(got, InconclusiveAtBudget):
-            return got
     base = norms[0]
     ok = Fraction(68, 100) <= base.lo and base.hi <= Fraction(69, 100)
     for other in norms[1:len(units)]:

@@ -5,9 +5,11 @@ prints canonical JSON so identical runs are byte-identical.  Each command
 returns its outcome and main reads the exit code from the printed
 verdict (`certificates.exit_code`): 0 means certified or computed, 2
 means the finite budget was exhausted without settling the claim, 1
-means the claim failed or the request itself was bad.  Inconclusive is
-deliberately not an error; no finite search can refute a density or
-unboundedness statement.
+means the claim failed or the request itself was bad.  A search that
+spends its budget raises InconclusiveAtBudget, and main prints it as the
+command's outcome, with no CSV rows.  Inconclusive is deliberately not
+an error; no finite search can refute a density or unboundedness
+statement.
 
 Each command imports the construction modules it runs when it runs, so a
 short command does not pay to load the other constructions.
@@ -291,8 +293,6 @@ def _cmd_fn_eval(args):
             raise SpecError("--csv needs enclosure-valued kinds, not tower-series")
         from .stepseries import eval_series
         got = eval_series(obj, at, budget["maxgen"], budget["depth"])
-        if isinstance(got, InconclusiveAtBudget):
-            return got, None
         return {"at": at, "result": got, "provenance": spec.provenance()}, None
 
     def value(x: Fraction) -> Enclosure:
@@ -353,8 +353,6 @@ def _cmd_norm_alexiewicz(args):
     spec, obj = _single_spec(args, "oscillator-combination")
     tol = spec.budget["tolerance"]
     enc = alexiewicz_norm(obj, tol, _at_ceilings(spec.budget, "norm alexiewicz")["precision"])
-    if isinstance(enc, InconclusiveAtBudget):
-        return enc, None
     cert = Certificate("norm-enclosure", COMPUTED,
                        {"space": "Alexiewicz",
                         "norm": enc.outward(spec.budget["precision"]),
@@ -373,8 +371,6 @@ def _cmd_certify_unbounded(args):
     lo, hi = args.interval
     got = unbounded_witness(series, lo, hi, args.bound,
                             spec.budget["maxgen"], spec.budget["depth"])
-    if isinstance(got, InconclusiveAtBudget):
-        return got, None
     cert = Certificate("unbounded", CERTIFIED, {
         "interval": [lo, hi],
         "bound": args.bound,
@@ -408,8 +404,6 @@ def _cmd_certify_jump_dense(args):
     budget = spec.budget
     got = jump_search(poly, lo, hi, args.eps, _index_budget(budget),
                       budget["terms"], budget["precision"])
-    if isinstance(got, InconclusiveAtBudget):
-        return got, None
     return _with_provenance(got.certificate(), spec), None
 
 
@@ -424,8 +418,6 @@ def _cmd_certify_non_lebesgue(args):
     spec, obj = _single_spec(args, "oscillator-combination")
     got = _nonlebesgue(obj, args.bound, spec.budget["precision"],
                        1000 * spec.budget["maxgen"])
-    if isinstance(got, InconclusiveAtBudget):
-        return got, None
     base = got.base if hasattr(got, "base") else got
     rows = [(k, running, running) for k, _, running in base.rows()]
     return _with_provenance(got.certificate(), spec), _csv(("index", "lo", "hi"), rows)
@@ -511,11 +503,9 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], object]]]:
             enc = l1_norm(obj, capped["terms"], capped["depth"])
             return {"verdict": COMPUTED, "norm": enc.outward(96)}
 
-        def unbounded() -> dict | InconclusiveAtBudget:
+        def unbounded() -> dict:
             got = unbounded_witness(obj, Fraction(3, 8), Fraction(5, 8), 2,
                                     budget["maxgen"], budget["depth"])
-            if isinstance(got, InconclusiveAtBudget):
-                return got
             return {"verdict": CERTIFIED, "witness": got}
 
         checks += [("measure-enclosure", measure), ("norm-enclosure", series_l1),
@@ -525,21 +515,19 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], object]]]:
         from .jumps import jump_enclosure, jump_search, variation_bounds
         poly = _as_polynomial(obj)
 
-        def nonzero() -> dict | InconclusiveAtBudget:
+        def nonzero() -> dict:
             got = jump_enclosure(poly, Fraction(1, 2), budget["terms"],
                                  budget["precision"])
             if got.certified_nonzero:
                 return {"verdict": CERTIFIED, "jump": got.value}
-            return InconclusiveAtBudget(
+            raise InconclusiveAtBudget(
                 "the jump enclosure at 1/2 still contains zero",
                 {"terms": budget["terms"], "precision": budget["precision"]})
 
-        def dense() -> dict | InconclusiveAtBudget:
+        def dense() -> dict:
             got = jump_search(poly, Fraction(2, 5), Fraction(3, 5),
                               Fraction(1, 1000), _index_budget(budget),
                               budget["terms"], budget["precision"])
-            if isinstance(got, InconclusiveAtBudget):
-                return got
             return {"verdict": CERTIFIED, "witness": got.certificate().payload}
 
         def variation() -> Certificate:
@@ -554,17 +542,13 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], object]]]:
     else:
         from .oscillator import alexiewicz_norm
 
-        def not_lebesgue() -> dict | InconclusiveAtBudget:
+        def not_lebesgue() -> dict:
             got = _nonlebesgue(obj, 4, budget["precision"], 1000)
-            if isinstance(got, InconclusiveAtBudget):
-                return got
             return {"verdict": CERTIFIED, "witness": got.certificate().payload}
 
-        def alexiewicz() -> dict | InconclusiveAtBudget:
+        def alexiewicz() -> dict:
             tol = budget["tolerance"]
             enc = alexiewicz_norm(obj, tol, _at_ceilings(budget, "norm alexiewicz")["precision"])
-            if isinstance(enc, InconclusiveAtBudget):
-                return enc
             return {"verdict": COMPUTED, "norm": enc, "tolerance": tol}
 
         checks += [("non-lebesgue", not_lebesgue), ("norm-enclosure", alexiewicz)]
@@ -714,10 +698,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.csv and not args.rows:
             raise SpecError("this command does not emit CSV")
         outcome, csv_text = args.handler(args)
-        # an inconclusive outcome has no rows to write
         if args.csv and csv_text is not None:
             with open(args.csv, "w", encoding="utf-8") as fh:
                 fh.write(csv_text)
+    except InconclusiveAtBudget as spent:  # the outcome, with no rows to write
+        outcome = spent
     except (ValueError, OSError) as err:  # SpecError is a ValueError
         print(f"realcert: {err}", file=sys.stderr)
         print(canonical_dumps({"error": str(err)}, indent=2))

@@ -585,8 +585,7 @@ class JumpWitness:
 
 def jump_search(g: JumpPolynomial, lo: RationalLike, hi: RationalLike,
                 eps: RationalLike, index_budget: int = 10 ** 5,
-                terms: int = 64, precision: int = 96,
-                ) -> "JumpWitness | InconclusiveAtBudget":
+                terms: int = 64, precision: int = 96) -> JumpWitness:
     """Scan enumerated rationals in [lo, hi] for a certified nonzero jump.
 
     The threshold route accepts an index i once the leading partial sum
@@ -594,10 +593,10 @@ def jump_search(g: JumpPolynomial, lo: RationalLike, hi: RationalLike,
     that analytic margin is out of reach, a direct sign-excluding jump
     enclosure is accepted on its own.  Either way the certificate is the
     jump enclosure itself.  Runs in increasing index order, so results
-    are deterministic; failure is only ever a budget statement.  The
-    shared enumeration grows one Calkin-Wilf tree level at a time as the
-    scan reaches past its end, so an early witness builds only the
-    levels it needs, not all index_budget entries.
+    are deterministic; failure is only ever a budget statement, raised as
+    InconclusiveAtBudget.  The shared enumeration grows one Calkin-Wilf
+    tree level at a time as the scan reaches past its end, so an early
+    witness builds only the levels it needs, not all index_budget entries.
     """
     a, b = as_fraction(lo), as_fraction(hi)
     if not ZERO < a < b < ONE:
@@ -626,7 +625,7 @@ def jump_search(g: JumpPolynomial, lo: RationalLike, hi: RationalLike,
             margin = gap * (eps - bound / ((1 << i) - 1))
             return JumpWitness(i, q, jump, eps, bound, margin, "threshold")
         return JumpWitness(i, q, jump, eps, bound, None, "direct")
-    return InconclusiveAtBudget(
+    raise InconclusiveAtBudget(
         "no enumerated rational in the window certified a nonzero jump",
         {"index_budget": index_budget, "candidates": candidates,
          "terms": terms, "precision": precision},

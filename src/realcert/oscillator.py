@@ -404,8 +404,7 @@ class NonLebesgueWitness:
 
 
 def nonlebesgue_witness(o: Oscillator, bar: RationalLike, precision: int = 96,
-                        max_peaks: int = 10_000,
-                        ) -> "NonLebesgueWitness | InconclusiveAtBudget":
+                        max_peaks: int = 10_000) -> NonLebesgueWitness:
     """Least K whose peak-gap partial sum reaches the bar, exactly.
 
     The sums grow like twice the logarithm of K while their exact
@@ -421,7 +420,7 @@ def nonlebesgue_witness(o: Oscillator, bar: RationalLike, precision: int = 96,
     k = 0
     while total < bar:
         if k >= max_peaks:
-            return InconclusiveAtBudget(
+            raise InconclusiveAtBudget(
                 f"partial sum at least {format_fraction(dyadic_floor(total, 32))} "
                 f"after {k} peaks has not reached {format_fraction(bar)}",
                 {"max_peaks": max_peaks})
@@ -459,8 +458,7 @@ class RestrictionWitness:
 
 
 def restriction_witness(c: OscCombination, bar: RationalLike, precision: int = 96,
-                        max_peaks: int = 10_000,
-                        ) -> "RestrictionWitness | InconclusiveAtBudget":
+                        max_peaks: int = 10_000) -> RestrictionWitness:
     """Certify that no nonzero combination is absolutely integrable.
 
     Restricted to one support the combination is a single scaled
@@ -474,8 +472,6 @@ def restriction_witness(c: OscCombination, bar: RationalLike, precision: int = 9
     index, alpha = max(c.alphas, key=lambda ka: (abs(ka[1]), -ka[0]))
     host = Oscillator(*OscCombination.support(index), kind="derivative")
     base = nonlebesgue_witness(host, bar / abs(alpha), precision, max_peaks)
-    if isinstance(base, InconclusiveAtBudget):
-        return base
     return RestrictionWitness(index, alpha, abs(alpha) * base.partial_sum, base)
 
 
@@ -485,8 +481,7 @@ def restriction_witness(c: OscCombination, bar: RationalLike, precision: int = 9
 
 
 def alexiewicz_norm(obj: "OscCombination | Oscillator", tol: RationalLike,
-                    precision: int = 64, queue_limit: int = 100_000,
-                    ) -> "Enclosure | InconclusiveAtBudget":
+                    precision: int = 64, queue_limit: int = 100_000) -> Enclosure:
     """Enclose sup |primitive| to within tol by certified bisection.
 
     Boxes are split widest first; a box dies once its sup bound falls to
@@ -571,7 +566,7 @@ def alexiewicz_norm(obj: "OscCombination | Oscillator", tol: RationalLike,
             if child_bound > floor:
                 push(rank + 1, child, scale, child_bound)
         if len(heap) > queue_limit:
-            return InconclusiveAtBudget(
+            raise InconclusiveAtBudget(
                 f"{len(heap)} boxes alive at tolerance {tol}",
                 {"tolerance": tol, "queue_limit": queue_limit})
     # every box was dominated by a certified point value

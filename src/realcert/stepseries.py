@@ -216,7 +216,7 @@ class EvalVerdict:
 
 
 def eval_series(s: StepSeries, x: RationalLike, maxgen: int = 20,
-                depth: int = 20) -> EvalVerdict | InconclusiveAtBudget:
+                depth: int = 20) -> EvalVerdict:
     """A.e.-representative evaluation at a rational point.
 
     The representative is zero on the measure-zero skeleton of kept/hole
@@ -235,14 +235,14 @@ def eval_series(s: StepSeries, x: RationalLike, maxgen: int = 20,
         if w.kind == "edge":
             return EvalVerdict(g, f"on the endpoint skeleton at generation {g}, level {w.level}")
         if w.kind == "kept":
-            return InconclusiveAtBudget(
+            raise InconclusiveAtBudget(
                 f"still in a kept interval of generation {g} at depth {depth}", budget)
         # inside an open hole: the next generation fills it, if there is one
         if g == s.tower.generations:
             return EvalVerdict(
                 g, f"inside a hole of the last generation {g}, which no generation fills")
         if g + 1 > maxgen:
-            return InconclusiveAtBudget(
+            raise InconclusiveAtBudget(
                 f"inside a generation-{g} hole at the generation budget", budget)
         g += 1
         comp = CantorSpec(w.lo, w.hi, s.tower.rho(g) * (w.hi - w.lo))
@@ -366,7 +366,7 @@ def unbounded_witness(
     bar: RationalLike,
     maxgen: int = 40,
     depth: int = 24,
-) -> UnboundedWitness | InconclusiveAtBudget:
+) -> UnboundedWitness:
     """Search [lo, hi] for a component on which |series| > bar.
 
     Drills for the first component contained in the target, then deepens
@@ -375,8 +375,6 @@ def unbounded_witness(
     """
     bar = as_fraction(bar)
     got = find_component(s.tower, lo, hi, max_generation=maxgen, depth=depth)
-    if isinstance(got, InconclusiveAtBudget):
-        return got
     g, comp = got.generation, got.component
     while g <= maxgen:
         v = s.value_at_generation(g)
@@ -384,8 +382,8 @@ def unbounded_witness(
             return UnboundedWitness(g, v, comp)
         g += 1
         comp = fill_first_hole(s.tower, comp, g)
-    return InconclusiveAtBudget(f"no generation <= {maxgen} on the drill path exceeds {bar}",
-                                {"maxgen": maxgen, "depth": depth})
+    raise InconclusiveAtBudget(f"no generation <= {maxgen} on the drill path exceeds {bar}",
+                               {"maxgen": maxgen, "depth": depth})
 
 
 # ---------------------------------------------------------------------------

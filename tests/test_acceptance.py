@@ -15,7 +15,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 from realcert import checklist
-from realcert.certificates import FAILED, INCONCLUSIVE, InconclusiveAtBudget, exit_code, jsonable
+from realcert.certificates import (FAILED, INCONCLUSIVE, InconclusiveAtBudget, exit_code,
+                                   jsonable, timed_check)
 from realcert.checklist import (
     _check_alexiewicz, _check_basis_inequality, _check_density,
     _check_dominance, _check_faithfulness, _check_finite_difference,
@@ -23,6 +24,18 @@ from realcert.checklist import (
     _check_nonlebesgue, _check_perturbation, _check_unbounded,
     _check_variation, _draw_combinations, _draw_density_windows,
     _draw_monomial_vectors, _draw_points, _draw_windows)
+
+
+def _spends(spent: InconclusiveAtBudget):
+    """A stand-in search that spends its budget."""
+    def search(*args, **kwargs):
+        raise spent
+    return search
+
+
+def _printed(check) -> dict:
+    """The check's outcome as the bundled report prints it."""
+    return timed_check(check)["payload"]
 
 
 def test_criterion_01_tower_measure_recursion():
@@ -49,8 +62,8 @@ def test_criterion_03_unbounded_on_random_windows():
 def test_criterion_03_spent_budget_is_inconclusive(monkeypatch):
     # no window of length >= 1/100 is known to spend maxgen 40 within seconds
     spent = InconclusiveAtBudget("depth budget exhausted", {"maxgen": 40, "depth": 24})
-    monkeypatch.setattr(checklist, "unbounded_witness", lambda *args, **kwargs: spent)
-    printed = jsonable(_check_unbounded([(Fraction(1, 5), Fraction(6, 25))]))
+    monkeypatch.setattr(checklist, "unbounded_witness", _spends(spent))
+    printed = _printed(lambda: _check_unbounded([(Fraction(1, 5), Fraction(6, 25))]))
     assert exit_code(printed) == 2
     assert printed == jsonable(spent)
 
@@ -104,8 +117,9 @@ def test_criterion_08_spent_budget_names_its_window(monkeypatch):
     # no window of length >= 1/1000 is known to spend 10^5 indices within seconds
     spent = InconclusiveAtBudget("no enumerated rational in the window certified a nonzero jump",
                                  {"index_budget": 10**5, "terms": 64, "precision": 128})
-    monkeypatch.setattr(checklist, "jump_search", lambda *args, **kwargs: spent)
-    printed = jsonable(_check_density([("surd-rate-mix", Fraction(1, 5), Fraction(11, 50))]))
+    monkeypatch.setattr(checklist, "jump_search", _spends(spent))
+    printed = _printed(lambda: _check_density([("surd-rate-mix", Fraction(1, 5),
+                                                Fraction(11, 50))]))
     assert exit_code(printed) == 2
     assert printed == {"verdict": INCONCLUSIVE,
                        "reason": f"surd-rate-mix on [1/5, 11/50]: {spent.reason}",
@@ -142,8 +156,8 @@ def test_criterion_12_alexiewicz_norm_scaling():
 
 def test_criterion_12_spent_budget_is_inconclusive(monkeypatch):
     spent = InconclusiveAtBudget("7 boxes alive", {"tolerance": Fraction(1, 1000)})
-    monkeypatch.setattr("realcert.checklist.alexiewicz_norm", lambda *args: spent)
-    printed = jsonable(_check_alexiewicz((2,), []))
+    monkeypatch.setattr("realcert.checklist.alexiewicz_norm", _spends(spent))
+    printed = _printed(lambda: _check_alexiewicz((2,), []))
     assert exit_code(printed) == 2
     assert printed == jsonable(spent)
 

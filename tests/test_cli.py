@@ -408,7 +408,11 @@ def test_spent_alexiewicz_search_passes_through(specs, capsys, monkeypatch):
     from realcert import oscillator
     spent = InconclusiveAtBudget("boxes still open", {"tolerance": Fraction(1, 1000),
                                                       "precision": 128})
-    monkeypatch.setattr(oscillator, "alexiewicz_norm", lambda *args: spent)
+
+    def spends(*args):
+        raise spent
+
+    monkeypatch.setattr(oscillator, "alexiewicz_norm", spends)
     code, out = run(capsys, "norm", "alexiewicz", "--spec", specs["osc"])
     assert (code, out) == (2, jsonable(spent))
     assert out["budget"] == {"tolerance": "1/1000", "precision": 128}

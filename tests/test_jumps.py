@@ -459,10 +459,10 @@ def test_jump_search_threshold_route():
 
 
 def test_jump_search_below_coverage_is_inconclusive():
-    got = jump_search(staircase_polynomial(), Fraction(3, 10000), Fraction(13, 10000),
-                      Fraction(1, 1000), index_budget=2000)
-    assert isinstance(got, InconclusiveAtBudget)
-    assert got.budget["candidates"] == 0
+    with pytest.raises(InconclusiveAtBudget) as spent:
+        jump_search(staircase_polynomial(), Fraction(3, 10000), Fraction(13, 10000),
+                    Fraction(1, 1000), index_budget=2000)
+    assert spent.value.budget["candidates"] == 0
 
 
 def test_jump_search_grows_enumeration_only_to_the_witness_level():
@@ -487,8 +487,9 @@ def test_jump_search_inconclusive_reports_every_candidate():
     # [0, 1/2], so no jump excludes zero and the whole budget is scanned
     g = JumpPolynomial((ExpPoly.constant((1,), -1), ExpPoly.constant((1,), 1)))
     lo, hi, budget = Fraction(1, 25), Fraction(1, 17), 10 ** 5  # partly below coverage
-    got = jump_search(g, lo, hi, Fraction(1, 1000), budget, terms=1, precision=32)
-    assert isinstance(got, InconclusiveAtBudget)
+    with pytest.raises(InconclusiveAtBudget) as spent:
+        jump_search(g, lo, hi, Fraction(1, 1000), budget, terms=1, precision=32)
+    got = spent.value
     candidates = sum(lo <= enum_rational(i) <= hi for i in range(1, budget + 1))
     assert candidates == 2  # 1/17 and 1/18, at indices 2^15 and 2^16
     assert got.budget == {"index_budget": budget, "candidates": candidates,

@@ -271,9 +271,9 @@ def test_witness_rows_accumulate():
 
 
 def test_witness_budget_cap():
-    got = nonlebesgue_witness(unit(), 30, max_peaks=100)
-    assert isinstance(got, InconclusiveAtBudget)
-    assert got.budget["max_peaks"] == 100
+    with pytest.raises(InconclusiveAtBudget) as spent:
+        nonlebesgue_witness(unit(), 30, max_peaks=100)
+    assert spent.value.budget["max_peaks"] == 100
 
 
 def test_witness_validation():
@@ -412,9 +412,9 @@ def test_alexiewicz_zero_combination():
 
 
 def test_alexiewicz_queue_budget():
-    got = alexiewicz_norm(unit(), Fraction(1, 10**9), queue_limit=1)
-    assert isinstance(got, InconclusiveAtBudget)
-    assert got.budget == {"tolerance": Fraction(1, 10**9), "queue_limit": 1}
+    with pytest.raises(InconclusiveAtBudget) as spent:
+        alexiewicz_norm(unit(), Fraction(1, 10**9), queue_limit=1)
+    assert spent.value.budget == {"tolerance": Fraction(1, 10**9), "queue_limit": 1}
 
 
 def test_alexiewicz_same_on_cold_and_warm_branch_memo():
@@ -432,8 +432,8 @@ def test_alexiewicz_same_on_cold_and_warm_branch_memo():
     assert _unit_measure.cache_info().hits > 0
     assert cold == warm[::-1]
     # a warm memo does not let the search outrun its queue budget
-    tight = alexiewicz_norm(OscCombination.of(combos[-1]), Fraction(1, 10**9), queue_limit=1)
-    assert isinstance(tight, InconclusiveAtBudget)
+    with pytest.raises(InconclusiveAtBudget):
+        alexiewicz_norm(OscCombination.of(combos[-1]), Fraction(1, 10**9), queue_limit=1)
 
 
 def reference_alexiewicz(obj, tol, precision=64, queue_limit=100_000):
@@ -480,10 +480,18 @@ def reference_alexiewicz(obj, tol, precision=64, queue_limit=100_000):
             if child > floor:
                 push(a, b, child)
         if len(heap) > queue_limit:
-            return InconclusiveAtBudget(
+            raise InconclusiveAtBudget(
                 f"{len(heap)} boxes alive at tolerance {tol}",
                 {"tolerance": tol, "queue_limit": queue_limit})
     return Enclosure(floor, floor)
+
+
+def search_outcome(search, *args, **kwargs):
+    """The search's result, or the InconclusiveAtBudget it raised."""
+    try:
+        return search(*args, **kwargs)
+    except InconclusiveAtBudget as spent:
+        return spent
 
 
 _ALPHAS = st.builds(lambda mag, neg: -mag if neg else mag,
@@ -500,8 +508,9 @@ _TOLERANCES = st.integers(min_value=1, max_value=4).flatmap(
 @settings(max_examples=60, deadline=None)
 def test_alexiewicz_matches_reference_on_combinations(coeffs, tol, precision, queue_limit):
     c = OscCombination.of(coeffs)
-    got = alexiewicz_norm(c, tol, precision, queue_limit)
-    assert got.as_json() == reference_alexiewicz(c, tol, precision, queue_limit).as_json()
+    got = search_outcome(alexiewicz_norm, c, tol, precision, queue_limit)
+    assert got.as_json() == search_outcome(reference_alexiewicz, c, tol, precision,
+                                           queue_limit).as_json()
 
 
 @given(st.fractions(min_value=0, max_value=Fraction(9, 10), max_denominator=97),
@@ -517,8 +526,9 @@ def test_alexiewicz_matches_reference_on_single_oscillators(lo, length, kind, to
         with pytest.raises(ValueError, match="derivative-kind"):
             alexiewicz_norm(o, tol, precision, queue_limit)
         return
-    got = alexiewicz_norm(o, tol, precision, queue_limit)
-    assert got.as_json() == reference_alexiewicz(o, tol, precision, queue_limit).as_json()
+    got = search_outcome(alexiewicz_norm, o, tol, precision, queue_limit)
+    assert got.as_json() == search_outcome(reference_alexiewicz, o, tol, precision,
+                                           queue_limit).as_json()
 
 
 def test_alexiewicz_matches_reference_at_the_default_queue():
@@ -546,8 +556,9 @@ def test_alexiewicz_matches_reference_at_the_default_queue():
                                               (Fraction(1, 10**6), 40)])
 def test_alexiewicz_ties_and_mixed_denominators(coeffs, tol, queue_limit):
     c = OscCombination.of(coeffs)
-    got = alexiewicz_norm(c, tol, queue_limit=queue_limit)
-    assert got.as_json() == reference_alexiewicz(c, tol, queue_limit=queue_limit).as_json()
+    got = search_outcome(alexiewicz_norm, c, tol, queue_limit=queue_limit)
+    assert got.as_json() == search_outcome(reference_alexiewicz, c, tol,
+                                           queue_limit=queue_limit).as_json()
 
 
 def test_check_alexiewicz_search_path():

@@ -112,12 +112,14 @@ def test_eval_zero_on_skeleton():
 
 def test_eval_center_stays_unknown():
     # 1/2 is the center of every nested hole, never on the skeleton
-    v = eval_series(even_tilt_series(), Fraction(1, 2), maxgen=8, depth=8)
-    assert v == InconclusiveAtBudget("inside a generation-8 hole at the generation budget",
-                                     {"maxgen": 8, "depth": 8})
+    with pytest.raises(InconclusiveAtBudget) as spent:
+        eval_series(even_tilt_series(), Fraction(1, 2), maxgen=8, depth=8)
+    assert spent.value == InconclusiveAtBudget(
+        "inside a generation-8 hole at the generation budget", {"maxgen": 8, "depth": 8})
     # a point in a kept interval runs out of depth instead
-    v = eval_series(even_tilt_series(), Fraction(1, 3), maxgen=8, depth=8)
-    assert v.reason == "still in a kept interval of generation 1 at depth 8"
+    with pytest.raises(InconclusiveAtBudget) as spent:
+        eval_series(even_tilt_series(), Fraction(1, 3), maxgen=8, depth=8)
+    assert spent.value.reason == "still in a kept interval of generation 1 at depth 8"
 
 
 def test_eval_in_last_explicit_hole_is_zero():
@@ -130,7 +132,8 @@ def test_eval_in_last_explicit_hole_is_zero():
     assert jsonable(v) == {"verdict": "zero", "detail": v.detail, "value": "0/1",
                            "generation": 3}
     # with fewer generations allowed than the tower has, the budget runs out
-    assert isinstance(eval_series(s, Fraction(1, 2), maxgen=2), InconclusiveAtBudget)
+    with pytest.raises(InconclusiveAtBudget):
+        eval_series(s, Fraction(1, 2), maxgen=2)
 
 
 def test_eval_rejects_outside_points():
@@ -288,9 +291,9 @@ def test_unbounded_witness_clears_large_bar():
 
 
 def test_unbounded_witness_tiny_budget_inconclusive():
-    got = unbounded_witness(even_tilt_series(), Fraction(3, 8), Fraction(5, 8), 2, maxgen=1)
-    assert isinstance(got, InconclusiveAtBudget)
-    assert got.budget["maxgen"] == 1
+    with pytest.raises(InconclusiveAtBudget) as spent:
+        unbounded_witness(even_tilt_series(), Fraction(3, 8), Fraction(5, 8), 2, maxgen=1)
+    assert spent.value.budget["maxgen"] == 1
 
 
 # -- dominance --------------------------------------------------------------
