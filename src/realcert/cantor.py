@@ -412,13 +412,11 @@ def find_component(
                     gen += 1
                     comp = _fill(spec, gen, g1, g2, depth).spec
                 else:
-                    # straddles an edge of T: keep the larger piece clear of it
+                    # straddles an edge of T: keep the larger piece clear of it,
+                    # whose length is positive as T sticks out past the hole
                     left = (t1, min(t2, g1))
                     right = (max(t1, g2), t2)
-                    pick = left if left[1] - left[0] >= right[1] - right[0] else right
-                    if pick[1] <= pick[0]:
-                        raise InconclusiveAtBudget("target shrank to a point", budget)
-                    t1, t2 = pick
+                    t1, t2 = left if left[1] - left[0] >= right[1] - right[0] else right
                 descended = True
                 break
             if m >= g2:

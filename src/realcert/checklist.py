@@ -23,8 +23,8 @@ from typing import Callable, Sequence
 from .cantor import TowerSpec, tower_generation
 from .certificates import (CERTIFIED, COMPUTED, FAILED, Certificate,
                            InconclusiveAtBudget, timed_check)
-from .jumps import (ExpPoly, JumpPolynomial, ShiftCombination, SqrtShift,
-                    ZeroPolynomial, enum_rational,
+from .jumps import (INDEX_CEILING, ExpPoly, JumpPolynomial, ShiftCombination,
+                    SqrtShift, ZeroPolynomial, enum_rational,
                     expand_generator_polynomial, jump_contribution_table,
                     jump_enclosure, jump_search, staircase_polynomial,
                     variation_bounds)
@@ -44,7 +44,6 @@ _SEED = 97
 _COVERED_LO = Fraction(1, 18)
 _COVERED_HI = Fraction(16, 17)
 _WINDOW = Fraction(1, 50)
-_INDEX_BUDGET = 10**5
 
 # monomials of degree 1..3 in two generators, with coefficients in -2..2
 _MONOMIALS = [(i, j) for i in range(4) for j in range(4) if 1 <= i + j <= 3]
@@ -180,12 +179,12 @@ def _check_density(windows: Sequence[tuple[str, Fraction, Fraction]]) -> dict:
     for name, lo, hi in windows:
         try:
             got = jump_search(targets[name], lo, hi, Fraction(1, 1000),
-                              index_budget=_INDEX_BUDGET, terms=64, precision=128)
+                              index_budget=INDEX_CEILING, terms=64, precision=128)
         except InconclusiveAtBudget as spent:
             raise InconclusiveAtBudget(
                 f"{name} on [{format_fraction(lo)}, {format_fraction(hi)}]: {spent.reason}",
                 spent.budget) from spent
-        if not (lo <= got.point <= hi and got.index <= _INDEX_BUDGET
+        if not (lo <= got.point <= hi and got.index <= INDEX_CEILING
                 and not got.jump.contains_zero()):
             return {"verdict": FAILED, "polynomial": name, "window": [lo, hi],
                     "index": got.index, "point": got.point, "jump": got.jump}

@@ -48,9 +48,7 @@ BUDGETS: dict[str, tuple] = {
     "tolerance": (Fraction(1, 10**6), Fraction(1, 10**6), Fraction(1), {}),
 }
 DEFAULT_BUDGET: dict[str, object] = {key: row[0] for key, row in BUDGETS.items()}
-# a jump search scans min(2^maxgen, INDEX_CEILING) enumeration indices;
 # tower show lists at most LIST_CEILING components
-INDEX_CEILING = 10**5
 LIST_CEILING = 100_000
 
 
@@ -133,6 +131,8 @@ def _at_ceilings(budget: dict, command: str) -> dict:
 
 
 def _index_budget(budget: dict) -> int:
+    """A jump search's index budget: min(2^maxgen, INDEX_CEILING)."""
+    from .jumps import INDEX_CEILING  # here, so other commands skip loading jumps
     return min(2 ** budget["maxgen"], INDEX_CEILING)
 
 
@@ -231,16 +231,13 @@ def _cmd_tower_build(args):
     tower = series.tower
     budget = _at_ceilings(spec.budget, "tower build")
     depth, maxgen = budget["depth"], budget["maxgen"]
-    rows = []
     entries = []
     for j in range(1, tower.upto(maxgen) + 1):
         approx = tower_generation(tower, j, depth)
-        enc = approx.measure_enclosure
-        rows.append((j, enc.lo, enc.hi))
         entries.append({
             "generation": j,
             "mass": tower.mass(j),
-            "measure": enc,
+            "measure": approx.measure_enclosure,
             "component_count": str(approx.component_count),
         })
     cert = Certificate(
@@ -250,7 +247,9 @@ def _cmd_tower_build(args):
                  "provenance": spec.provenance()},
         budget={"depth": depth, "maxgen": maxgen},
     )
-    return cert, _csv(("index", "lo", "hi"), rows)
+    return cert, lambda: (("index", "lo", "hi"),
+                          [(e["generation"], e["measure"].lo, e["measure"].hi)
+                           for e in entries])
 
 
 def _cmd_tower_show(args):
@@ -274,7 +273,7 @@ def _cmd_tower_show(args):
         "components": [[a, b] for _, a, b in rows],
         "provenance": spec.provenance(),
     }
-    return payload, _csv(("index", "lo", "hi"), rows)
+    return payload, lambda: (("index", "lo", "hi"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +302,13 @@ def _cmd_fn_eval(args):
         return raw.outward(budget["precision"])
 
     enc = value(at)
-    rows = [(at, enc.lo, enc.hi)]
-    if args.grid and args.csv:  # the grid is only ever written out
-        rows = []
-        for k in range(args.grid + 1):
-            x = Fraction(k, args.grid)
-            e = value(x)
-            rows.append((x, e.lo, e.hi))
-    return ({"at": at, "value": enc, "provenance": spec.provenance()},
-            _csv(("x", "lo", "hi"), rows))
+
+    def rows() -> tuple:
+        grid = [Fraction(k, args.grid) for k in range(args.grid + 1)] if args.grid else []
+        points = [(x, value(x)) for x in grid] or [(at, enc)]
+        return ("x", "lo", "hi"), [(x, e.lo, e.hi) for x, e in points]
+
+    return {"at": at, "value": enc, "provenance": spec.provenance()}, rows
 
 
 def _cmd_fn_integrate(args):
@@ -419,8 +416,9 @@ def _cmd_certify_non_lebesgue(args):
     got = _nonlebesgue(obj, args.bound, spec.budget["precision"],
                        1000 * spec.budget["maxgen"])
     base = got.base if hasattr(got, "base") else got
-    rows = [(k, running, running) for k, _, running in base.rows()]
-    return _with_provenance(got.certificate(), spec), _csv(("index", "lo", "hi"), rows)
+    return (_with_provenance(got.certificate(), spec),
+            lambda: (("index", "lo", "hi"),
+                     [(k, running, running) for k, _, running in base.rows()]))
 
 
 def _cmd_certify_basis(args):
@@ -697,10 +695,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         args.budget_overrides = _budget_overrides(args)
         if args.csv and not args.rows:
             raise SpecError("this command does not emit CSV")
-        outcome, csv_text = args.handler(args)
-        if args.csv and csv_text is not None:
+        # rows, if the command writes any, builds them; only --csv asks
+        outcome, rows = args.handler(args)
+        if args.csv and rows is not None:
+            text = _csv(*rows())
             with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
+                fh.write(text)
     except InconclusiveAtBudget as spent:  # the outcome, with no rows to write
         outcome = spent
     except (ValueError, OSError) as err:  # SpecError is a ValueError

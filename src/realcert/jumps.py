@@ -26,6 +26,8 @@ from .rational import ONE, ZERO, RationalLike, SpecValue, as_fraction, ceil_scal
 # under 1000 to a term's growth rate sum |n| sqrt(d), which sets exp's cost
 EXP_CEILING = 100
 SURD_CEILING = 100
+# a jump search scans at most this many enumeration indices
+INDEX_CEILING = 10**5
 
 
 class OutOfRange(ValueError):
@@ -584,7 +586,7 @@ class JumpWitness:
 
 
 def jump_search(g: JumpPolynomial, lo: RationalLike, hi: RationalLike,
-                eps: RationalLike, index_budget: int = 10 ** 5,
+                eps: RationalLike, index_budget: int = INDEX_CEILING,
                 terms: int = 64, precision: int = 96) -> JumpWitness:
     """Scan enumerated rationals in [lo, hi] for a certified nonzero jump.
 

@@ -29,7 +29,8 @@ from .cantor import (
 )
 from .certificates import Certificate, CERTIFIED, InconclusiveAtBudget
 from .enclosure import Enclosure
-from .rational import HALF, ONE, ZERO, RationalLike, SpecValue, as_fraction, dyadic_sum
+from .rational import (HALF, ONE, ZERO, RationalLike, SpecError, SpecValue, as_fraction,
+                       dyadic_sum)
 
 
 class DivergentTail(ValueError):
@@ -50,6 +51,14 @@ class IntervalTooShort(ValueError):
 
 
 _NAMED_RULES = {"all": (1, 1), "even": (2, 2), "odd": (1, 2)}
+
+# a tower-series spec's subsequence entries and arith starts, arith strides,
+# monomial bases (thetas) and monomial exponents (k): at these values the
+# slowest spec norm l1 accepts, on the factorial tower, runs about a second
+SUBSEQ_CEILING = 256
+STRIDE_CEILING = 2
+THETA_CEILING = 10
+K_CEILING = 3
 
 
 @dataclass(frozen=True)
@@ -185,12 +194,18 @@ class StepSeries:
         rule = node["rule"]
         if "power" in rule:
             sub = rule["power"]["subseq"]
-            subseq = sub.value if isinstance(sub.value, str) else sub.integers()
-            return cls(tower, PowerAlongSubsequence(rule["power"]["theta"].rational(), subseq))
+            if not isinstance(sub.value, str):
+                subseq = sub.bounded_integers(SUBSEQ_CEILING)
+                return cls(tower, PowerAlongSubsequence(rule["power"]["theta"].rational(), subseq))
+            power = PowerAlongSubsequence(rule["power"]["theta"].rational(), sub.value)
+            for value, ceiling in zip(power._arith(), (SUBSEQ_CEILING, STRIDE_CEILING)):
+                if value > ceiling:
+                    raise SpecError(f"{sub.path}: magnitude above the ceiling {ceiling}")
+            return cls(tower, power)
         m = rule["monomial"]
-        rows = tuple(MonomialRow(r["beta"].rational(), r["k"].integers())
+        rows = tuple(MonomialRow(r["beta"].rational(), r["k"].bounded_integers(K_CEILING))
                      for r in m["rows"].elements())
-        return cls(tower, MonomialCombination(m["thetas"].integers(), rows))
+        return cls(tower, MonomialCombination(m["thetas"].bounded_integers(THETA_CEILING), rows))
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import hashlib
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -17,6 +18,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from realcert.certificates import INCONCLUSIVE, InconclusiveAtBudget, jsonable
 from realcert.cli import build_parser, main
 from realcert.jumps import EXP_CEILING, SURD_CEILING
+from realcert.stepseries import K_CEILING, STRIDE_CEILING, SUBSEQ_CEILING, THETA_CEILING
 
 TOWER = {
     "kind": "tower-series",
@@ -617,10 +619,10 @@ def test_malformed_spec_values_name_their_json_path(capsys, tmp_path, spec, argv
     assert error == message or error.endswith(f": {message}")
 
 
-def _refusal(capsys, tmp_path, body, *argv):
-    """(exit code, error, seconds) of a jump-polynomial command on body."""
+def _refusal(capsys, tmp_path, spec, *argv):
+    """(exit code, error, seconds) of a command on the spec document."""
     path = tmp_path / "big.json"
-    path.write_text(json.dumps(dict(JUMP, body=body)))
+    path.write_text(json.dumps(spec))
     start = time.perf_counter()
     code = main([*argv, "--spec", str(path)])
     seconds = time.perf_counter() - start
@@ -629,15 +631,35 @@ def _refusal(capsys, tmp_path, body, *argv):
     return code, json.loads(captured.out).get("error"), seconds
 
 
-@pytest.mark.parametrize("body,where,ceiling", [
+def _monomial(preset: str, theta: object, k: object) -> dict:
+    return dict(TOWER, body={"tower": {"preset": preset}, "rule": {"monomial": {
+        "thetas": [theta], "rows": [{"beta": "1", "k": [k]}]}}})
+
+
+_EVAL = ("fn", "eval", "--at", "1/3")
+_L1 = ("norm", "l1")
+
+
+@pytest.mark.parametrize("spec,argv,where,ceiling", [
     # ran past a 10-s timeout in exp_enc
-    (_jump_term(exp=[1000000])["body"], "body.G[0].terms[0].exp[0]", EXP_CEILING),
+    (_jump_term(exp=[1000000]), _EVAL, "body.G[0].terms[0].exp[0]", EXP_CEILING),
     # took about 9 s in the surd's trial division
-    (_jump_term(exp=[0], basis=[1000000000000037])["body"], "body.basis[0]", SURD_CEILING),
-], ids=["exp", "surd"])
-def test_spec_integers_above_their_ceiling_exit_1_at_once(capsys, tmp_path, body, where,
+    (_jump_term(exp=[0], basis=[1000000000000037]), _EVAL, "body.basis[0]", SURD_CEILING),
+    # 1.4 s, 2.7 s and past 30 s in the tower's residuals and the term enclosures
+    (_tower_rule({"theta": "3/2", "subseq": [3000]}), _L1, "body.rule.power.subseq[0]",
+     SUBSEQ_CEILING),
+    (_tower_rule({"theta": "3/2", "subseq": "arith:1000:1"}), _L1, "body.rule.power.subseq",
+     SUBSEQ_CEILING),
+    (_tower_rule({"theta": "3/2", "subseq": "arith:1:1000"}), _L1, "body.rule.power.subseq",
+     STRIDE_CEILING),
+    # ran past a 20-s timeout in l1_norm's powers of 2^1000
+    (_monomial("dyadic", 2, 1000), _L1, "body.rule.monomial.rows[0].k[0]", K_CEILING),
+    # the factorial tail sums about 2 * 5000 terms of factorial size
+    (_monomial("factorial", 5000, 1), _L1, "body.rule.monomial.thetas[0]", THETA_CEILING),
+], ids=["exp", "surd", "subseq", "arith-start", "arith-stride", "k", "thetas"])
+def test_spec_integers_above_their_ceiling_exit_1_at_once(capsys, tmp_path, spec, argv, where,
                                                           ceiling):
-    code, error, seconds = _refusal(capsys, tmp_path, body, "fn", "eval", "--at", "1/3")
+    code, error, seconds = _refusal(capsys, tmp_path, spec, *argv)
     assert (code, error) == (1, f"{where}: magnitude above the ceiling {ceiling}")
     assert seconds < 1
 
@@ -648,7 +670,20 @@ def test_spec_integers_at_their_ceiling_are_read(capsys, tmp_path):
                if all(d % (p * p) for p in range(2, d)))
     body = {"basis": [1, surd], "G": [{"terms": [{"c": "1", "exp": [EXP_CEILING, -EXP_CEILING]},
                                                  {"c": "1", "exp": [-EXP_CEILING, EXP_CEILING]}]}]}
-    code, error, _ = _refusal(capsys, tmp_path, body, "fn", "eval", "--at", "1/3")
+    code, error, _ = _refusal(capsys, tmp_path, dict(JUMP, body=body), *_EVAL)
+    assert (code, error) == (0, None)
+
+
+@pytest.mark.parametrize("spec", [
+    dict(TOWER, body={"tower": {"preset": "factorial"}, "rule": {"power": {
+        "theta": "3/2", "subseq": f"arith:{SUBSEQ_CEILING}:{STRIDE_CEILING}"}}}),
+    dict(TOWER, body={"tower": {"preset": "factorial"}, "rule": {"power": {
+        "theta": "3/2", "subseq": list(range(SUBSEQ_CEILING - 199, SUBSEQ_CEILING + 1))}}}),
+    _monomial("factorial", THETA_CEILING, K_CEILING),
+], ids=["arith", "subseq", "monomial"])
+def test_tower_series_integers_at_their_ceiling_are_read(capsys, tmp_path, spec):
+    # the slowest specs the ceilings accept: norm l1 sums 200 terms
+    code, error, _ = _refusal(capsys, tmp_path, spec, *_L1)
     assert (code, error) == (0, None)
 
 
@@ -677,7 +712,7 @@ def test_huge_exponents_and_surds_are_refused_by_path(capsys, tmp_path, site, ex
     for key in keys[:-1]:
         node = node[key]
     node[keys[-1]] = sign * (ceiling + excess)
-    code, error, _ = _refusal(capsys, tmp_path, body, *argv)
+    code, error, _ = _refusal(capsys, tmp_path, dict(JUMP, body=body), *argv)
     assert (code, error) == (1, f"{where}: magnitude above the ceiling {ceiling}")
 
 
@@ -760,6 +795,39 @@ def test_grid_is_evaluated_only_for_csv_rows(specs, capsys, tmp_path, monkeypatc
     calls.clear()
     code, _ = run(capsys, *argv, "--csv", str(tmp_path / "rows.csv"))
     assert code == 0 and len(calls) == 52  # --at, then k/50 for k = 0..50
+
+
+@pytest.mark.parametrize("argv", [
+    ("tower", "build", "--spec", "{tower}"),
+    ("tower", "show", "--spec", "{tower}", "--generation", "2", "--budget", "depth=4"),
+    ("fn", "eval", "--spec", "{jump}", "--at", "1/3"),
+    ("fn", "eval", "--spec", "{jump}", "--at", "1/3", "--grid", "50"),
+    ("certify", "non-lebesgue", "--spec", "{osc}", "--bound", "4"),
+], ids=["tower build", "tower show", "fn eval", "fn eval grid", "certify non-lebesgue"])
+def test_rows_are_formatted_only_for_csv(specs, capsys, tmp_path, monkeypatch, argv):
+    from realcert import cli
+    calls = []
+    real = cli._csv
+    monkeypatch.setattr(cli, "_csv", lambda *a: calls.append(a) or real(*a))
+    argv = [a.format(**specs) for a in argv]
+    code, bare = run(capsys, *argv)
+    assert (code, calls) == (0, [])
+    csv_path = tmp_path / "rows.csv"
+    code, out = run(capsys, *argv, "--csv", str(csv_path))
+    assert (code, out, len(calls)) == (0, bare, 1)
+    assert csv_path.read_text() == real(*calls[0])
+
+
+def test_non_lebesgue_at_bound_18_skips_its_unwritten_rows(capsys):
+    # building 11,728 rows that nothing wrote took 26 s; the certificate is unchanged
+    start = time.perf_counter()
+    osc = Path(__file__).resolve().parents[1] / "src" / "realcert" / "specs" / "osc.json"
+    code = main(["certify", "non-lebesgue", "--spec", str(osc), "--bound", "18"])
+    seconds = time.perf_counter() - start
+    out = capsys.readouterr().out
+    assert code == 0 and seconds < 5
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "80dd52837f7a56400a187f497be641f127a760ead52036bef7f2f36abc500232")
 
 
 @pytest.mark.parametrize("kind", ["jump", "osc"])

@@ -354,8 +354,9 @@ FUZZ_DOCUMENTS.update(SHAPES)
 FUZZ_DOCUMENTS["pieces"] = [["0", "1/2", "1/2"], ["1/2", "1", "-1"]]
 FUZZ_SITES = [(name, path) for name, data in FUZZ_DOCUMENTS.items()
               for path in _node_paths(data)]
-# integers stay small: exponents and basis surds have ceilings, but a large
-# subsequence exponent still runs for minutes rather than failing
+# integers stay small: exponents, basis surds and tower-series integers have
+# ceilings, but a large power-rule theta still runs for minutes on the
+# factorial tower rather than failing
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 70)
     | st.sampled_from(["", "0", "1/2", "-3/2", "1/0", "x", "all", "arith:1:2", "dyadic",

@@ -3,14 +3,14 @@
 Each row gives a key's default, its accepted range and its lower
 ceilings, in the order ``BUDGETS`` declares them.  A row may end in a
 note after its ceilings, opened by " (".  The search cap named under the
-table is ``cli.INDEX_CEILING``, and the spec ceilings are
+table is ``jumps.INDEX_CEILING``, and the spec ceilings are
 ``jumps.EXP_CEILING`` and ``jumps.SURD_CEILING``.
 """
 
 from pathlib import Path
 
-from realcert.cli import BUDGETS, INDEX_CEILING
-from realcert.jumps import EXP_CEILING, SURD_CEILING
+from realcert.cli import BUDGETS
+from realcert.jumps import EXP_CEILING, INDEX_CEILING, SURD_CEILING
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 HEADER = "| key | default | accepted range | lower ceilings |"
