@@ -4,9 +4,8 @@ A certificate bundles the claim being checked, a verdict, and the exact
 rationals / enclosures that let a reader re-check the claim without
 trusting this code.  Serialization is canonical (sorted keys, no float
 round-trips) so identical runs produce byte-identical output.  A bounded
-search that spends its budget raises InconclusiveAtBudget, and the two
-places that print outcomes, `cli.main` and `timed_check`, catch it and
-print it like any other outcome.
+search that spends its budget raises InconclusiveAtBudget, which is then
+printed like any other outcome.
 """
 
 from __future__ import annotations
