@@ -9,12 +9,19 @@ re-established from the serialized payload alone.
 import json
 from fractions import Fraction
 
-from realcert.certificates import canonical_dumps
+from realcert.certificates import CERTIFIED, Certificate, canonical_dumps
 from realcert.rational import ONE, ZERO
 from realcert.stepseries import StepFunction, comeager_perturbation
 
-result = comeager_perturbation(StepFunction(), 1, (ZERO, ONE), Fraction(3, 5))
-text = canonical_dumps(result.certificate(), indent=2)
+
+def certify() -> str:
+    # the library hands back exact values; the claim and verdict are set here
+    result = comeager_perturbation(StepFunction(), 1, (ZERO, ONE), Fraction(3, 5))
+    cert = Certificate("every-ball-meets-the-unbounded-set", CERTIFIED, result.as_json())
+    return canonical_dumps(cert, indent=2)
+
+
+text = certify()
 print("certificate as canonical JSON:")
 print(text)
 
@@ -41,6 +48,5 @@ print(f"  violation threshold clears the 1/7 mark: {threshold} > {seventh}"
       f" -> {threshold > seventh}")
 
 # determinism: the same request serializes byte-identically
-again = comeager_perturbation(StepFunction(), 1, (ZERO, ONE), Fraction(3, 5))
-same = canonical_dumps(again.certificate(), indent=2)
+same = certify()
 print(f"byte-identical on a second run: {same == text}")

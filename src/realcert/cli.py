@@ -21,7 +21,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -211,9 +211,10 @@ def _require_kind(spec: FunctionSpec, *kinds: str) -> None:
                         f"got {spec.kind}")
 
 
-def _with_provenance(cert: Certificate, spec: FunctionSpec) -> dict:
-    """A library certificate's JSON, stamped with the spec's provenance."""
-    return {**cert.as_json(), "provenance": spec.provenance()}
+def _certified(claim: str, result, spec: FunctionSpec) -> dict:
+    """A library result certified under claim, stamped with the spec's provenance."""
+    return {**Certificate(claim, CERTIFIED, result.as_json()).as_json(),
+            "provenance": spec.provenance()}
 
 
 def _csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
@@ -343,7 +344,7 @@ def _cmd_norm_bv(args):
     spec, obj = _single_spec(args, "jump-polynomial")
     result = variation_bounds(obj, terms=spec.budget["terms"],
                               precision=spec.budget["precision"])
-    return _with_provenance(result.certificate(), spec), None
+    return _certified("variation-bounds", result, spec), None
 
 
 def _cmd_norm_alexiewicz(args):
@@ -402,7 +403,7 @@ def _cmd_certify_jump_dense(args):
     budget = spec.budget
     got = jump_search(poly, lo, hi, args.eps, _index_budget(budget),
                       budget["terms"], budget["precision"])
-    return _with_provenance(got.certificate(), spec), None
+    return _certified("jump-dense-sample", got, spec), None
 
 
 def _nonlebesgue(obj, bar, precision: int, max_peaks: int):
@@ -417,7 +418,7 @@ def _cmd_certify_non_lebesgue(args):
     got = _nonlebesgue(obj, args.bound, spec.budget["precision"],
                        1000 * spec.budget["maxgen"])
     base = got.base if hasattr(got, "base") else got
-    return (_with_provenance(got.certificate(), spec),
+    return (_certified("non-lebesgue", got, spec),
             lambda: (("index", "lo", "hi"),
                      [(k, running, running) for k, _, running in base.rows()]))
 
@@ -471,7 +472,7 @@ def _cmd_certify_perturbation(args):
     f = StepFunction(tuple(tuple(x.rational() for x in row.elements()) for row in rows))
     lo, hi = args.interval
     result = comeager_perturbation(f, args.bound, (lo, hi), args.radius)
-    return replace(result.certificate(), claim="perturbation"), None
+    return Certificate("perturbation", CERTIFIED, result.as_json()), None
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +528,12 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], object]]]:
             got = jump_search(poly, Fraction(2, 5), Fraction(3, 5),
                               Fraction(1, 1000), _index_budget(budget),
                               budget["terms"], budget["precision"])
-            return {"verdict": CERTIFIED, "witness": got.certificate().payload}
+            return {"verdict": CERTIFIED, "witness": got}
 
         def variation() -> Certificate:
-            return variation_bounds(obj, terms=_at_ceilings(budget, "report: variation")["terms"],
-                                    precision=budget["precision"]).certificate()
+            got = variation_bounds(obj, terms=_at_ceilings(budget, "report: variation")["terms"],
+                                   precision=budget["precision"])
+            return Certificate("variation-bounds", CERTIFIED, got.as_json())
 
         # the jump checks need a polynomial; the variation bounds take every shape
         if poly is not None:
@@ -543,7 +545,7 @@ def _battery(spec: FunctionSpec) -> list[tuple[str, Callable[[], object]]]:
 
         def not_lebesgue() -> dict:
             got = _nonlebesgue(obj, 4, budget["precision"], 1000)
-            return {"verdict": CERTIFIED, "witness": got.certificate().payload}
+            return {"verdict": CERTIFIED, "witness": got}
 
         def alexiewicz() -> dict:
             tol = budget["tolerance"]

@@ -17,7 +17,7 @@ from itertools import product
 from math import comb, isqrt
 from typing import Mapping, Sequence
 
-from .certificates import CERTIFIED, Certificate, InconclusiveAtBudget
+from .certificates import InconclusiveAtBudget
 from .enclosure import Enclosure, exp_enc, sqrt_enc
 from .rational import ONE, ZERO, RationalLike, SpecValue, as_fraction, ceil_scaled, floor_scaled
 
@@ -569,20 +569,16 @@ class JumpWitness:
     analytic_margin: Fraction | None
     via: str
 
-    def certificate(self) -> Certificate:
-        return Certificate(
-            claim="jump-dense-sample",
-            verdict=CERTIFIED,
-            payload={
-                "index": self.index,
-                "point": self.point,
-                "jump": self.jump,
-                "threshold": self.threshold,
-                "partial_sum_bound": self.partial_sum_bound,
-                "analytic_margin": self.analytic_margin,
-                "via": self.via,
-            },
-        )
+    def as_json(self) -> dict[str, object]:
+        return {
+            "index": self.index,
+            "point": self.point,
+            "jump": self.jump,
+            "threshold": self.threshold,
+            "partial_sum_bound": self.partial_sum_bound,
+            "analytic_margin": self.analytic_margin,
+            "via": self.via,
+        }
 
 
 def jump_search(g: JumpPolynomial, lo: RationalLike, hi: RationalLike,
@@ -647,13 +643,8 @@ class VariationBounds:
     upper: Fraction | None
     probes: tuple[dict[str, object], ...]
 
-    def certificate(self) -> Certificate:
-        return Certificate(
-            claim="variation-bounds",
-            verdict=CERTIFIED,
-            payload={"lower": self.lower, "upper": self.upper,
-                     "probes": list(self.probes)},
-        )
+    def as_json(self) -> dict[str, object]:
+        return {"lower": self.lower, "upper": self.upper, "probes": list(self.probes)}
 
 
 def variation_bounds(h: "JumpSeries | ShiftCombination | JumpPolynomial",

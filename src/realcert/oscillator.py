@@ -20,7 +20,7 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .certificates import CERTIFIED, Certificate, InconclusiveAtBudget
+from .certificates import InconclusiveAtBudget
 from .enclosure import Enclosure, _sin_pi_range, pi_const, sqrt_enc
 # bound for bench/test_bench.py::Tracing::test_wrappers_count_and_are_removed
 from .enclosure import sin_pi  # noqa: F401
@@ -387,20 +387,16 @@ class NonLebesgueWitness:
             running += term
             yield k, term, running
 
-    def certificate(self) -> Certificate:
-        return Certificate(
-            claim="non-lebesgue",
-            verdict=CERTIFIED,
-            payload={
-                "host": self.host,
-                "bar": self.bar,
-                "peaks_used": self.K,
-                "partial_sum": self.partial_sum,
-                "sum_before": self.sum_before,
-                "span_lo": self.span_lo,
-                "span_hi": self.span_hi,
-            },
-        )
+    def as_json(self) -> dict[str, object]:
+        return {
+            "host": self.host,
+            "bar": self.bar,
+            "peaks_used": self.K,
+            "partial_sum": self.partial_sum,
+            "sum_before": self.sum_before,
+            "span_lo": self.span_lo,
+            "span_hi": self.span_hi,
+        }
 
 
 def nonlebesgue_witness(o: Oscillator, bar: RationalLike, precision: int = 96,
@@ -443,18 +439,13 @@ class RestrictionWitness:
     scaled_sum: Fraction
     base: NonLebesgueWitness
 
-    def certificate(self) -> Certificate:
-        inner = self.base.certificate()
-        return Certificate(
-            claim="non-lebesgue",
-            verdict=CERTIFIED,
-            payload={
-                "support_index": self.index,
-                "alpha": self.alpha,
-                "scaled_sum": self.scaled_sum,
-                "restriction": inner.payload,
-            },
-        )
+    def as_json(self) -> dict[str, object]:
+        return {
+            "support_index": self.index,
+            "alpha": self.alpha,
+            "scaled_sum": self.scaled_sum,
+            "restriction": self.base,
+        }
 
 
 def restriction_witness(c: OscCombination, bar: RationalLike, precision: int = 96,

@@ -27,7 +27,7 @@ from .cantor import (
     find_component,
     tower_generation,
 )
-from .certificates import Certificate, CERTIFIED, InconclusiveAtBudget
+from .certificates import InconclusiveAtBudget
 from .enclosure import Enclosure
 from .rational import (HALF, ONE, ZERO, RationalLike, SpecError, SpecValue, as_fraction,
                        dyadic_sum)
@@ -616,21 +616,17 @@ class PerturbationResult:
     bound: Fraction
     radius: Fraction
 
-    def certificate(self) -> Certificate:
+    def as_json(self) -> dict[str, object]:
         measure = self.window[1] - self.window[0]
-        return Certificate(
-            claim="every-ball-meets-the-unbounded-set",
-            verdict=CERTIFIED,
-            payload={
-                "window": list(self.window),
-                "window_measure": measure,
-                "perturbation_l1_distance": self.distance,
-                "half_radius": self.radius / 2,
-                "violation_threshold": measure * self.bound,
-                "radius_seventh": self.radius / 7,
-                "strict_gap_holds": measure * self.bound > self.radius / 7,
-            },
-        )
+        return {
+            "window": list(self.window),
+            "window_measure": measure,
+            "perturbation_l1_distance": self.distance,
+            "half_radius": self.radius / 2,
+            "violation_threshold": measure * self.bound,
+            "radius_seventh": self.radius / 7,
+            "strict_gap_holds": measure * self.bound > self.radius / 7,
+        }
 
 
 def comeager_perturbation(

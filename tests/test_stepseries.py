@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from realcert import stepseries
 from realcert.cantor import InfeasibleMass, TowerSpec
-from realcert.certificates import CERTIFIED, InconclusiveAtBudget, canonical_dumps, jsonable
+from realcert.certificates import InconclusiveAtBudget, canonical_dumps, jsonable
 from realcert.enclosure import Enclosure
 from realcert.stepseries import (
     DivergentTail,
@@ -491,14 +491,14 @@ def test_perturbation_exact_payload():
                                 Fraction(3, 5))
     assert got.window == (Fraction(0), Fraction(1, 10))
     assert got.g.value_at(Fraction(1, 20)) == 2
-    p = got.certificate().payload
+    p = got.as_json()
     assert p["window_measure"] == Fraction(1, 10)
     assert p["perturbation_l1_distance"] == Fraction(1, 5)
     assert p["half_radius"] == Fraction(3, 10)
     assert p["violation_threshold"] == Fraction(1, 10)
     assert p["radius_seventh"] == Fraction(3, 35)
     assert p["strict_gap_holds"] is True
-    assert got.certificate().verdict == CERTIFIED
+    assert p["window"] == [Fraction(0), Fraction(1, 10)]
 
 
 def test_perturbation_with_nonzero_base():
@@ -506,8 +506,8 @@ def test_perturbation_with_nonzero_base():
     got = comeager_perturbation(f, Fraction(2), (Fraction(0), Fraction(1)), Fraction(1, 2))
     j_lo, j_hi = got.window
     # on the window the distance is |2N - f| = |4 - (-2)| = 6
-    assert got.certificate().payload["perturbation_l1_distance"] == 6 * (j_hi - j_lo)
-    assert got.certificate().payload["perturbation_l1_distance"] <= Fraction(1, 4)
+    assert got.as_json()["perturbation_l1_distance"] == 6 * (j_hi - j_lo)
+    assert got.as_json()["perturbation_l1_distance"] <= Fraction(1, 4)
 
 
 def test_perturbation_window_must_fit():

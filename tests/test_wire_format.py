@@ -7,6 +7,12 @@ writes whatever comes back, so a float anywhere in an outcome is refused
 instead of printed.  An AST walk keeps ``format_fraction`` to its
 definition, jsonable and the two human-readable reasons that quote a
 rational, and keeps every ``as_json`` from writing the format itself.
+
+Results speak one protocol: a construction module hands exact values
+through ``as_json`` and names no claim or verdict.  A second walk refuses
+any function named ``certificate`` and any import of ``certificates`` by a
+construction module beyond ``InconclusiveAtBudget``; claims are set in
+``cli`` and ``checklist``, where outcomes print.
 """
 
 import ast
@@ -109,6 +115,67 @@ def report():
         "2: format_fraction", "6: format_fraction", "10: format_fraction", "10: jsonable",
         "14: format_fraction"]
     assert printer_uses(tree, "rational") == ["10: format_fraction", "10: jsonable"]
+
+
+# -- one protocol: as_json, with claims set where outcomes print -------------
+
+CONSTRUCTIONS = ("cantor", "enclosure", "jumps", "oscillator", "rational", "stepseries")
+
+
+def protocol_breaches(tree: ast.AST, module: str) -> list[str]:
+    """Each certificate() definition, and in a construction module each import
+    of certificates beyond InconclusiveAtBudget, as 'line: name'."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and node.name == "certificate"):
+            found.append(f"{node.lineno}: def certificate")
+        if module not in CONSTRUCTIONS:
+            continue
+        if isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[-1] == "certificates":
+                found += [f"{node.lineno}: {a.name}" for a in node.names
+                          if a.name != "InconclusiveAtBudget"]
+            else:
+                found += [f"{node.lineno}: {a.name}" for a in node.names
+                          if a.name == "certificates"]
+        elif isinstance(node, ast.Import):
+            found += [f"{node.lineno}: {a.name}" for a in node.names
+                      if a.name.split(".")[-1] == "certificates"]
+    return found
+
+
+def test_results_speak_only_as_json():
+    found = {}
+    for path in sorted(SRC.rglob("*.py")):
+        breaches = protocol_breaches(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        if breaches:
+            found[str(path.relative_to(SRC))] = breaches
+    assert found == {}
+
+
+def test_constructions_exist():
+    # a renamed module would leave a name that guards nothing
+    assert {m for m in CONSTRUCTIONS if (SRC / f"{m}.py").is_file()} == set(CONSTRUCTIONS)
+
+
+def test_protocol_guard_catches_each_spelling():
+    code = """
+from .certificates import CERTIFIED, InconclusiveAtBudget
+from realcert.certificates import Certificate
+from . import certificates
+import realcert.certificates
+
+class Witness:
+    def certificate(self):
+        from .certificates import Certificate as C
+        return C("claim", CERTIFIED, {})
+"""
+    tree = ast.parse(code)
+    assert protocol_breaches(tree, "jumps") == [
+        "2: CERTIFIED", "3: Certificate", "4: certificates", "5: realcert.certificates",
+        "8: def certificate", "9: Certificate"]
+    assert protocol_breaches(tree, "cli") == ["8: def certificate"]
 
 
 # -- jsonable refuses what is not exact ---------------------------------------
