@@ -266,7 +266,7 @@ class TowerSpec:
         node = SpecValue(data, "body.tower")
         if "masses" in node:
             return cls("explicit", tuple(m.rational() for m in node["masses"].elements()))
-        return cls(node.get("preset", "dyadic").value)
+        return cls(node.get("preset", "dyadic").string())
 
 
 def _fill(spec: TowerSpec, generation: int, lo: Fraction, hi: Fraction, depth: int) -> CantorApprox:

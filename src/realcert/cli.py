@@ -109,13 +109,8 @@ def _validate_budget_items(raw: object, where: str) -> dict:
                 value = as_fraction(value)
             except (TypeError, ValueError, ZeroDivisionError) as err:
                 raise SpecError(f"{where}: bad tolerance {value!r}") from err
-        else:
-            try:
-                value = int(value) if isinstance(value, str) else value
-            except ValueError as err:
-                raise SpecError(f"{where}: budget {key} must be an integer") from err
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SpecError(f"{where}: budget {key} must be an integer")
+        elif isinstance(value, bool) or not isinstance(value, int):
+            raise SpecError(f"{where}: budget {key} must be an integer")
         _, least, most, _ = BUDGETS[key]
         if not least <= value <= most:
             raise SpecError(f"{where}: budget {key} must lie in {least}..{most}, "
@@ -192,7 +187,7 @@ def build_function(spec: FunctionSpec):
         return OscCombination.from_json(spec.body)
     body = SpecValue(spec.body)
     return Oscillator(body.get("lo", 0).rational(), body.get("hi", 1).rational(),
-                      body.get("kind", "derivative").value)
+                      body.get("kind", "derivative").string())
 
 
 def _single_spec(args, *kinds: str) -> tuple[FunctionSpec, object]:
@@ -587,13 +582,19 @@ def _add_budget_flags(p: _Parser) -> None:
 
 
 def _budget_overrides(args) -> dict:
+    """The budget flags; --budget text is read as an integer here (tolerance as a rational)."""
     out: dict[str, object] = {}
     if args.budget:
         for pair in args.budget.split(","):
             if "=" not in pair:
                 raise SpecError(f"--budget expects K=V pairs, got {pair!r}")
-            key, _, value = pair.partition("=")
-            out[key.strip()] = value.strip()
+            key, _, text = (part.strip() for part in pair.partition("="))
+            out[key] = text  # an unknown key is refused with the spec file's keys
+            if key in BUDGETS and key != "tolerance":
+                try:
+                    out[key] = int(text)
+                except ValueError:
+                    raise SpecError(f"flags: budget {key} must be an integer") from None
     if args.precision is not None:
         out["precision"] = args.precision
     if args.tolerance is not None:

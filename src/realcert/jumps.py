@@ -19,13 +19,16 @@ from typing import Mapping, Sequence
 
 from .certificates import InconclusiveAtBudget
 from .enclosure import Enclosure, exp_enc, sqrt_enc
-from .rational import ONE, ZERO, RationalLike, SpecValue, as_fraction, ceil_scaled, floor_scaled
+from .rational import (ONE, ZERO, RationalLike, SpecError, SpecValue, as_fraction, ceil_scaled,
+                       floor_scaled)
 
 
 # a jump-polynomial spec's |exponents| and basis surds: each surd then adds
-# under 1000 to a term's growth rate sum |n| sqrt(d), which sets exp's cost
+# under 1000 to a term's growth rate sum |n| sqrt(d), which sets exp's cost;
+# the rate is bounded too, so that norm bv runs about a second at the ceiling
 EXP_CEILING = 100
 SURD_CEILING = 100
+RATE_CEILING = 3000
 # a jump search scans at most this many enumeration indices
 INDEX_CEILING = 10**5
 
@@ -383,9 +386,15 @@ class ExpPoly:
 
     @staticmethod
     def from_json(data: object, basis: Sequence[int], path: str = "body") -> "ExpPoly":
-        terms = tuple((t["c"].rational(), t["exp"].bounded_integers(EXP_CEILING))
-                      for t in SpecValue(data, path)["terms"].elements())
-        return ExpPoly(tuple(basis), terms)
+        terms = []
+        for t in SpecValue(data, path)["terms"].elements():
+            c, exp = t["c"].rational(), t["exp"].bounded_integers(EXP_CEILING)
+            # floor(|n| sqrt(|d|)) summed on the integers as read; the
+            # constructor refuses a surd that is not positive
+            if sum(isqrt(n * n * abs(d)) for n, d in zip(exp, basis)) > RATE_CEILING:
+                raise SpecError(f"{t['exp'].path}: rate above the ceiling {RATE_CEILING}")
+            terms.append((c, exp))
+        return ExpPoly(tuple(basis), tuple(terms))
 
 
 # ---------------------------------------------------------------------------

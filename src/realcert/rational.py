@@ -81,6 +81,9 @@ class SpecValue:
         """A JSON integer: bool, float and str are refused."""
         return self._of_type(int, "an integer")
 
+    def string(self) -> str:
+        return self._of_type(str, "a string")
+
     def integers(self) -> tuple[int, ...]:
         return tuple(n.integer() for n in self.elements())
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -53,12 +54,16 @@ class IntervalTooShort(ValueError):
 _NAMED_RULES = {"all": (1, 1), "even": (2, 2), "odd": (1, 2)}
 
 # a tower-series spec's subsequence entries and arith starts, arith strides,
-# monomial bases (thetas) and monomial exponents (k): at these values the
-# slowest spec norm l1 accepts, on the factorial tower, runs about a second
+# power-rule theta and its denominator, monomial bases (thetas), monomial
+# exponents (k) and a monomial row's product T: at these values the slowest
+# spec norm l1 accepts, on the factorial tower, runs a second or two
 SUBSEQ_CEILING = 256
 STRIDE_CEILING = 2
+TILT_CEILING = 2
+TILT_DENOMINATOR_CEILING = 1000
 THETA_CEILING = 10
 K_CEILING = 3
+PRODUCT_CEILING = 1000
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,7 @@ class PowerAlongSubsequence:
             raise ValueError(f"tilt {self.theta} must exceed 1")
         s = self.subseq
         if isinstance(s, str):
-            if s not in _NAMED_RULES and not s.startswith("arith:"):
+            if s not in _NAMED_RULES and not re.fullmatch(r"arith:[0-9]+:[0-9]+", s):
                 raise ValueError(f"unknown subsequence rule {s!r}")
             start, stride = self._arith()
             if start < 1 or stride < 1:
@@ -193,19 +198,31 @@ class StepSeries:
         tower = TowerSpec.from_json(node["tower"].value)
         rule = node["rule"]
         if "power" in rule:
+            node = rule["power"]["theta"]
+            theta = node.rational()
+            if theta > TILT_CEILING:
+                raise SpecError(f"{node.path}: value above the ceiling {TILT_CEILING}")
+            if theta.denominator > TILT_DENOMINATOR_CEILING:
+                raise SpecError(f"{node.path}: denominator above the ceiling "
+                                f"{TILT_DENOMINATOR_CEILING}")
             sub = rule["power"]["subseq"]
             if not isinstance(sub.value, str):
                 subseq = sub.bounded_integers(SUBSEQ_CEILING)
-                return cls(tower, PowerAlongSubsequence(rule["power"]["theta"].rational(), subseq))
-            power = PowerAlongSubsequence(rule["power"]["theta"].rational(), sub.value)
+                return cls(tower, PowerAlongSubsequence(theta, subseq))
+            power = PowerAlongSubsequence(theta, sub.value)
             for value, ceiling in zip(power._arith(), (SUBSEQ_CEILING, STRIDE_CEILING)):
                 if value > ceiling:
                     raise SpecError(f"{sub.path}: magnitude above the ceiling {ceiling}")
             return cls(tower, power)
         m = rule["monomial"]
-        rows = tuple(MonomialRow(r["beta"].rational(), r["k"].bounded_integers(K_CEILING))
-                     for r in m["rows"].elements())
-        return cls(tower, MonomialCombination(m["thetas"].bounded_integers(THETA_CEILING), rows))
+        thetas = m["thetas"].bounded_integers(THETA_CEILING)
+        rows = []
+        for r in m["rows"].elements():
+            row = MonomialRow(r["beta"].rational(), r["k"].bounded_integers(K_CEILING))
+            if math.prod(t**k for t, k in zip(thetas, row.exponents)) > PRODUCT_CEILING:
+                raise SpecError(f"{r['k'].path}: product above the ceiling {PRODUCT_CEILING}")
+            rows.append(row)
+        return cls(tower, MonomialCombination(thetas, tuple(rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ at budget; 1 is reserved for malformed requests.
 import argparse
 import hashlib
 import json
+import math
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -17,8 +18,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from realcert.certificates import INCONCLUSIVE, InconclusiveAtBudget, jsonable
 from realcert.cli import build_parser, main
-from realcert.jumps import EXP_CEILING, SURD_CEILING
-from realcert.stepseries import K_CEILING, STRIDE_CEILING, SUBSEQ_CEILING, THETA_CEILING
+from realcert.jumps import EXP_CEILING, RATE_CEILING, SURD_CEILING
+from realcert.stepseries import (K_CEILING, PRODUCT_CEILING, STRIDE_CEILING, SUBSEQ_CEILING,
+                                 THETA_CEILING, TILT_CEILING, TILT_DENOMINATOR_CEILING)
 
 TOWER = {
     "kind": "tower-series",
@@ -524,6 +526,8 @@ def test_out_of_range_flag_is_rejected_fast(specs, capsys, tmp_path, argv, messa
 @pytest.mark.parametrize("budget,message", [
     ({"depth": 65}, "budget depth must lie in 1..64"),
     ({"maxgen": True}, "budget maxgen must be an integer"),
+    # only --budget text is read as an integer; a spec file writes a JSON integer
+    ({"depth": "3"}, "budget depth must be an integer"),
 ])
 def test_spec_file_budget_is_checked(capsys, tmp_path, budget, message):
     spec = tmp_path / "budget.json"
@@ -555,8 +559,8 @@ def test_inexact_spec_values_are_rejected(capsys, tmp_path, spec, argv, message)
     assert message in json.loads(captured.out)["error"]
 
 
-def _tower_rule(power: dict) -> dict:
-    return dict(TOWER, body={"tower": {"preset": "dyadic"}, "rule": {"power": power}})
+def _tower_rule(power: dict, preset: str = "dyadic") -> dict:
+    return dict(TOWER, body={"tower": {"preset": preset}, "rule": {"power": power}})
 
 
 def _jump_term(c: object = "1", exp: object = (1,), basis: object = (1,)) -> dict:
@@ -601,12 +605,22 @@ PIECES = ("certify", "perturbation", "--bound", "1", "--radius", "1/2",
     ([[0, 1, True]], PIECES, "pieces[0][2]: bool is not a rational"),
     ({"lo": 0, "hi": 1, "value": 1}, PIECES, "pieces: dict is not an array"),
     ([[0, 1]], PIECES, "pieces[0]: a piece is [lo, hi, value]"),
+    (dict(TOWER, body={"tower": {"preset": 5}, "rule": {}}), ("norm", "l1"),
+     "body.tower.preset: int is not a string"),
+    (dict(OSC, body={"lo": "0", "hi": "1", "kind": 5}), ("fn", "eval", "--at", "3/10"),
+     "body.kind: int is not a string"),
+    (_tower_rule({"theta": "3/2", "subseq": 5}), ("norm", "l1"),
+     "body.rule.power.subseq: int is not an array"),
     # a value of the right type that a constructor refuses gives its message
     (_jump_term(basis=[4]), ("norm", "bv"), "surd 4 is not a squarefree positive integer"),
+    (_jump_term(basis=[-2]), ("norm", "bv"), "surd -2 is not a squarefree positive integer"),
+    (_tower_rule({"theta": "3/2", "subseq": "arith:x:1"}), ("norm", "l1"),
+     "unknown subsequence rule 'arith:x:1'"),
 ], ids=["alphas-bool", "host-bool", "subseq-bool", "exp-str", "exp-bool", "basis-bool",
         "c-bool", "c-zero-denominator", "shift-bool", "sqrt2-bool", "exp-missing",
         "alphas-list", "alphas-str", "alphas-key", "tower-list", "rule-empty",
-        "budget-list", "pieces-bool", "pieces-object", "pieces-short", "basis-value"])
+        "budget-list", "pieces-bool", "pieces-object", "pieces-short", "preset-int",
+        "kind-int", "subseq-int", "basis-value", "basis-negative", "subseq-name"])
 def test_malformed_spec_values_name_their_json_path(capsys, tmp_path, spec, argv, message):
     # each of these exited 0 with a result, or escaped main as a traceback
     path = tmp_path / "malformed.json"
@@ -640,27 +654,47 @@ _EVAL = ("fn", "eval", "--at", "1/3")
 _L1 = ("norm", "l1")
 
 
-@pytest.mark.parametrize("spec,argv,where,ceiling", [
+# the squarefree surds up to SURD_CEILING: 61 of them
+_SURDS = [d for d in range(1, SURD_CEILING + 1) if all(d % (p * p) for p in range(2, d))]
+
+
+@pytest.mark.parametrize("spec,argv,where,what,ceiling", [
     # ran past a 10-s timeout in exp_enc
-    (_jump_term(exp=[1000000]), _EVAL, "body.G[0].terms[0].exp[0]", EXP_CEILING),
+    (_jump_term(exp=[1000000]), _EVAL, "body.G[0].terms[0].exp[0]", "magnitude", EXP_CEILING),
     # took about 9 s in the surd's trial division
-    (_jump_term(exp=[0], basis=[1000000000000037]), _EVAL, "body.basis[0]", SURD_CEILING),
+    (_jump_term(exp=[0], basis=[1000000000000037]), _EVAL, "body.basis[0]", "magnitude",
+     SURD_CEILING),
+    # rate about 40,000: norm bv ran past a 15-s timeout
+    (_jump_term(exp=[EXP_CEILING] * len(_SURDS), basis=_SURDS), ("norm", "bv"),
+     "body.G[0].terms[0].exp", "rate", RATE_CEILING),
     # 1.4 s, 2.7 s and past 30 s in the tower's residuals and the term enclosures
     (_tower_rule({"theta": "3/2", "subseq": [3000]}), _L1, "body.rule.power.subseq[0]",
-     SUBSEQ_CEILING),
+     "magnitude", SUBSEQ_CEILING),
     (_tower_rule({"theta": "3/2", "subseq": "arith:1000:1"}), _L1, "body.rule.power.subseq",
-     SUBSEQ_CEILING),
+     "magnitude", SUBSEQ_CEILING),
     (_tower_rule({"theta": "3/2", "subseq": "arith:1:1000"}), _L1, "body.rule.power.subseq",
-     STRIDE_CEILING),
+     "magnitude", STRIDE_CEILING),
+    # the factorial tail adds about 2 * 10^4 terms of factorial size: past 20 s
+    (_tower_rule({"theta": "10000", "subseq": "all"}, "factorial"), _L1,
+     "body.rule.power.theta", "value", TILT_CEILING),
+    (_tower_rule({"theta": "1500001/1000000", "subseq": "arith:256:2"}, "factorial"), _L1,
+     "body.rule.power.theta", "denominator", TILT_DENOMINATOR_CEILING),
     # ran past a 20-s timeout in l1_norm's powers of 2^1000
-    (_monomial("dyadic", 2, 1000), _L1, "body.rule.monomial.rows[0].k[0]", K_CEILING),
+    (_monomial("dyadic", 2, 1000), _L1, "body.rule.monomial.rows[0].k[0]", "magnitude",
+     K_CEILING),
     # the factorial tail sums about 2 * 5000 terms of factorial size
-    (_monomial("factorial", 5000, 1), _L1, "body.rule.monomial.thetas[0]", THETA_CEILING),
-], ids=["exp", "surd", "subseq", "arith-start", "arith-stride", "k", "thetas"])
+    (_monomial("factorial", 5000, 1), _L1, "body.rule.monomial.thetas[0]", "magnitude",
+     THETA_CEILING),
+    # T = 10^6 from two bases at their ceilings: the same tail ran past 15 s
+    (dict(TOWER, body={"tower": {"preset": "factorial"}, "rule": {"monomial": {
+        "thetas": [THETA_CEILING] * 2, "rows": [{"beta": "1", "k": [K_CEILING] * 2}]}}}),
+     _L1, "body.rule.monomial.rows[0].k", "product", PRODUCT_CEILING),
+], ids=["exp", "surd", "rate", "subseq", "arith-start", "arith-stride", "theta-value",
+        "theta-denominator", "k", "thetas", "product"])
 def test_spec_integers_above_their_ceiling_exit_1_at_once(capsys, tmp_path, spec, argv, where,
-                                                          ceiling):
+                                                          what, ceiling):
     code, error, seconds = _refusal(capsys, tmp_path, spec, *argv)
-    assert (code, error) == (1, f"{where}: magnitude above the ceiling {ceiling}")
+    assert (code, error) == (1, f"{where}: {what} above the ceiling {ceiling}")
     assert seconds < 1
 
 
@@ -674,15 +708,31 @@ def test_spec_integers_at_their_ceiling_are_read(capsys, tmp_path):
     assert (code, error) == (0, None)
 
 
+def test_term_at_its_rate_ceiling_is_read(capsys, tmp_path):
+    # the largest surds at the largest exponent while floor(|n| sqrt(d)) sums stay in reach
+    basis, exp = [], []
+    for d in sorted(_SURDS, reverse=True):
+        if sum(math.isqrt(EXP_CEILING**2 * s) for s in [*basis, d]) > RATE_CEILING:
+            break
+        basis.append(d)
+        exp.append(EXP_CEILING)
+    assert len(basis) == 3
+    code, error, _ = _refusal(capsys, tmp_path, _jump_term(exp=exp, basis=basis), "norm", "bv")
+    assert (code, error) == (0, None)
+
+
 @pytest.mark.parametrize("spec", [
     dict(TOWER, body={"tower": {"preset": "factorial"}, "rule": {"power": {
         "theta": "3/2", "subseq": f"arith:{SUBSEQ_CEILING}:{STRIDE_CEILING}"}}}),
     dict(TOWER, body={"tower": {"preset": "factorial"}, "rule": {"power": {
         "theta": "3/2", "subseq": list(range(SUBSEQ_CEILING - 199, SUBSEQ_CEILING + 1))}}}),
+    _tower_rule({"theta": f"{TILT_CEILING * TILT_DENOMINATOR_CEILING - 1}/"
+                          f"{TILT_DENOMINATOR_CEILING}",
+                 "subseq": f"arith:{SUBSEQ_CEILING}:{STRIDE_CEILING}"}, "factorial"),
     _monomial("factorial", THETA_CEILING, K_CEILING),
-], ids=["arith", "subseq", "monomial"])
+], ids=["arith", "subseq", "theta", "monomial"])
 def test_tower_series_integers_at_their_ceiling_are_read(capsys, tmp_path, spec):
-    # the slowest specs the ceilings accept: norm l1 sums 200 terms
+    # the slowest specs the ceilings accept, at the default budget: norm l1 sums 64 terms
     code, error, _ = _refusal(capsys, tmp_path, spec, *_L1)
     assert (code, error) == (0, None)
 

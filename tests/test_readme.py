@@ -3,14 +3,15 @@
 Each row gives a key's default, its accepted range and its lower
 ceilings, in the order ``BUDGETS`` declares them.  A row may end in a
 note after its ceilings, opened by " (".  The search cap named under the
-table is ``jumps.INDEX_CEILING``, and the spec ceilings are
-``jumps.EXP_CEILING`` and ``jumps.SURD_CEILING``.
+table is ``jumps.INDEX_CEILING``, and the spec ceilings are those of
+``jumps`` and ``stepseries``.
 """
 
 from pathlib import Path
 
 from realcert.cli import BUDGETS
-from realcert.jumps import EXP_CEILING, INDEX_CEILING, SURD_CEILING
+from realcert import stepseries
+from realcert.jumps import EXP_CEILING, INDEX_CEILING, RATE_CEILING, SURD_CEILING
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 HEADER = "| key | default | accepted range | lower ceilings |"
@@ -49,3 +50,7 @@ def test_spec_ceilings_are_quoted():
     text = README.read_text(encoding="utf-8")
     assert f"`EXP_CEILING` = {EXP_CEILING}" in text
     assert f"`SURD_CEILING` = {SURD_CEILING}" in text
+    assert f"`RATE_CEILING` = {RATE_CEILING}" in text
+    for name in ("SUBSEQ_CEILING", "STRIDE_CEILING", "TILT_CEILING", "TILT_DENOMINATOR_CEILING",
+                 "THETA_CEILING", "K_CEILING", "PRODUCT_CEILING"):
+        assert f"`{name}` = {getattr(stepseries, name)}" in text

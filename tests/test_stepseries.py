@@ -16,6 +16,7 @@ from realcert import stepseries
 from realcert.cantor import InfeasibleMass, TowerSpec
 from realcert.certificates import InconclusiveAtBudget, canonical_dumps, jsonable
 from realcert.enclosure import Enclosure
+from realcert.rational import SpecError
 from realcert.stepseries import (
     DivergentTail,
     DominanceIndex,
@@ -72,9 +73,13 @@ def test_rule_validation():
 
 
 def test_series_json_round_trip():
+    # the reader refuses a power-rule theta above TILT_CEILING = 2; the library takes it
+    steep = StepSeries(TowerSpec("factorial"), PowerAlongSubsequence(Fraction(5, 2), (1, 4, 9)))
+    with pytest.raises(SpecError, match=r"^body\.rule\.power\.theta: value above the ceiling 2$"):
+        StepSeries.from_json(steep.as_json())
     for s in (
         even_tilt_series(),
-        StepSeries(TowerSpec("factorial"), PowerAlongSubsequence(Fraction(5, 2), (1, 4, 9))),
+        StepSeries(TowerSpec("factorial"), PowerAlongSubsequence(Fraction(7, 4), (1, 4, 9))),
         StepSeries(
             TowerSpec("dyadic"),
             MonomialCombination((2, 3), (MonomialRow(Fraction(1, 2), (1, 1)),
