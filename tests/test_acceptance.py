@@ -14,6 +14,8 @@ import time
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
+
 from realcert import checklist
 from realcert.certificates import (FAILED, INCONCLUSIVE, InconclusiveAtBudget, exit_code,
                                    jsonable, timed_check)
@@ -89,6 +91,38 @@ def test_criterion_05_broken_inequality_is_failed(monkeypatch):
                         lambda *args: replace(real(*args), distance=Fraction(1, 3)))
     printed = jsonable(_check_perturbation())
     assert printed["verdict"] == FAILED
+    assert exit_code(printed) == 1
+
+
+# one minimal corruption per check: change(result) replaces each result of a
+# function the check calls; check 5
+# has its own test above, and check 13's FAILED branch needs a negative
+# margin, which a sum of |a_k| times a lower bound >= 0 cannot give
+_CORRUPTIONS = {
+    1: ("pow2", lambda q: 2 * q),  # the generation's target measure doubles
+    2: ("l1_norm", lambda enc: enc + Fraction(1, 100)),
+    3: ("unbounded_witness", lambda got: replace(got, value=Fraction(1))),
+    4: ("dominance_index", lambda got: replace(got, j0=got.j0 + 1)),
+    6: ("jump_enclosure", lambda got: replace(got, certified_nonzero=False)),
+    7: ("variation_bounds", lambda got: replace(got, upper=None)),
+    8: ("jump_search", lambda got: replace(got, point=Fraction(0))),
+    9: ("jump_enclosure", lambda got: replace(got, value=got.value + 1)),
+    10: ("kurzweil_integral", lambda enc: enc + 1),
+    11: ("nonlebesgue_witness", lambda got: replace(got, K=got.K + 1)),
+    12: ("alexiewicz_norm", lambda enc: enc * 2),
+    14: ("slope_bound", lambda bound: 0 * bound),  # the mean-value slack is dropped
+}
+
+
+@pytest.mark.parametrize("number", sorted(_CORRUPTIONS),
+                         ids=[f"{n:02d}-{_CORRUPTIONS[n][0]}" for n in sorted(_CORRUPTIONS)])
+def test_each_check_fails_on_a_corrupted_result(monkeypatch, number):
+    name, change = _CORRUPTIONS[number]
+    real = getattr(checklist, name)
+    monkeypatch.setattr(checklist, name, lambda *args, **kwargs: change(real(*args, **kwargs)))
+    check = next(check for n, _, _, check in checklist._CHECKS if n == number)
+    printed = _printed(check)
+    assert printed["verdict"] == FAILED, printed
     assert exit_code(printed) == 1
 
 
