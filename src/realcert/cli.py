@@ -582,14 +582,14 @@ def _add_budget_flags(p: _Parser) -> None:
 
 
 def _budget_overrides(args) -> dict:
-    """The budget flags; --budget text is read as an integer here (tolerance as a rational)."""
+    """The budget flags, each integer in --budget read from its text here."""
     out: dict[str, object] = {}
     if args.budget:
         for pair in args.budget.split(","):
             if "=" not in pair:
                 raise SpecError(f"--budget expects K=V pairs, got {pair!r}")
             key, _, text = (part.strip() for part in pair.partition("="))
-            out[key] = text  # an unknown key is refused with the spec file's keys
+            out[key] = text  # _validate_budget_items refuses an unknown key
             if key in BUDGETS and key != "tolerance":
                 try:
                     out[key] = int(text)

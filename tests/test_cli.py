@@ -700,8 +700,7 @@ def test_spec_integers_above_their_ceiling_exit_1_at_once(capsys, tmp_path, spec
 
 def test_spec_integers_at_their_ceiling_are_read(capsys, tmp_path):
     # the largest squarefree surd under the ceiling, and exponents at both ends
-    surd = max(d for d in range(1, SURD_CEILING + 1)
-               if all(d % (p * p) for p in range(2, d)))
+    surd = max(_SURDS)
     body = {"basis": [1, surd], "G": [{"terms": [{"c": "1", "exp": [EXP_CEILING, -EXP_CEILING]},
                                                  {"c": "1", "exp": [-EXP_CEILING, EXP_CEILING]}]}]}
     code, error, _ = _refusal(capsys, tmp_path, dict(JUMP, body=body), *_EVAL)
