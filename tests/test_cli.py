@@ -705,10 +705,8 @@ def test_spec_integers_at_their_ceiling_are_read(capsys, tmp_path):
                                                  {"c": "1", "exp": [-EXP_CEILING, EXP_CEILING]}]}]}
     code, error, _ = _refusal(capsys, tmp_path, dict(JUMP, body=body), *_EVAL)
     assert (code, error) == (0, None)
-
-
-def test_term_at_its_rate_ceiling_is_read(capsys, tmp_path):
-    # the largest surds at the largest exponent while floor(|n| sqrt(d)) sums stay in reach
+    # the largest surds at the largest exponent while the rate stays within its ceiling:
+    # the slowest term norm bv accepts
     basis, exp = [], []
     for d in sorted(_SURDS, reverse=True):
         if sum(math.isqrt(EXP_CEILING**2 * s) for s in [*basis, d]) > RATE_CEILING:
